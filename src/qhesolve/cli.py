@@ -100,12 +100,7 @@ def _cmd_solve(args) -> int:
         rs_t_budget=t_budget,
     )
 
-    if args.server:
-        report = hecrypt.solve_encrypted(system, key, args.server, config)
-    else:
-        with qserve.ExecutionServer(qserve.ServerConfig()) as server:
-            report = hecrypt.solve_encrypted(system, key, server.address,
-                                             config)
+    report = hecrypt.solve_encrypted(system, key, args.server, config)
     _write_out(args.out, hhl.report_to_text(report))
     return 0
 
@@ -160,12 +155,8 @@ def _cmd_compile(args) -> int:
     circuit = _read_circuit(args.circuit)
     before = len(circuit.gates)
     if args.substitute_t_budget is not None:
-        approximations = {}
-        for angle in circuit.ry_angles():
-            found = synth.approximate_unitary(qsim.ry_matrix(angle),
-                                              args.substitute_t_budget)
-            approximations[angle] = found.sequence.to_gates(0)
-        circuit = circ.substitute_ry(circuit, approximations)
+        circuit, _ = synth.substitute_clifford_t(circuit,
+                                                 args.substitute_t_budget)
     if args.legalize_center is not None:
         circuit = circ.legalize_star(circuit,
                                      circ.Topology.star(args.legalize_center))
@@ -197,15 +188,6 @@ def _job_from_args(args, circuit_text: str) -> qserve.Job:
     )
 
 
-def _cmd_simulate(args) -> int:
-    circuit_text = circ.emit_text(_read_circuit(args.circuit))
-    response = qserve.execute_job(_job_from_args(args, circuit_text).to_payload())
-    if "error" in response:
-        raise ValueError(f"{response['error']}: {response.get('detail', '')}")
-    _write_out(args.out, json.dumps(response, sort_keys=True) + "\n")
-    return 0
-
-
 def _cmd_serve(args) -> int:
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
@@ -223,7 +205,8 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_submit(args) -> int:
+def _cmd_run(args) -> int:
+    """simulate (in-process, no --server) and submit share this path."""
     circuit_text = circ.emit_text(_read_circuit(args.circuit))
     response = qserve.submit(args.server, _job_from_args(args, circuit_text),
                              timeout=args.timeout)
@@ -294,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the circuit here")
     p.set_defaults(func=_cmd_compile)
 
-    for verb, func, needs_server in (("simulate", _cmd_simulate, False),
-                                     ("submit", _cmd_submit, True)):
+    for verb, needs_server in (("simulate", False), ("submit", True)):
         p = add_verb(verb, f"{verb} a circuit job")
         p.add_argument("--circuit", required=True, help="circuit file")
         p.add_argument("--id", default="job-1", help="job id token")
@@ -312,8 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--server", required=True, help="host:port")
             p.add_argument("--timeout", type=float,
                            default=qserve.DEFAULT_TIMEOUT)
+        else:
+            p.set_defaults(server=None, timeout=qserve.DEFAULT_TIMEOUT)
         p.add_argument("--out", default=None)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_run)
 
     p = add_verb("serve", "run the execution server")
     p.add_argument("--host", default="127.0.0.1")

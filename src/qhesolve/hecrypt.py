@@ -14,11 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import qserve, qsim
-from .circ import emit_text
-from .hhl import (ANCILLA_QUBIT, STATE_QUBIT, LinearSystem, SolutionReport,
-                  SolverConfig, classical_solve, compile_solver_circuit,
-                  eigendecompose, extract_solution)
+from .hhl import (LinearSystem, SolutionReport, SolverConfig, classical_solve,
+                  submit_solve)
 
 
 class MaskingError(ValueError):
@@ -79,55 +76,18 @@ def decrypt(result: np.ndarray, key: MaskKey) -> np.ndarray:
 
 
 def solve_encrypted(system: LinearSystem, key: MaskKey,
-                    server: tuple[str, int] | str,
+                    server: tuple[str, int] | str | None,
                     config: SolverConfig) -> SolutionReport:
-    """Full delegated solve: mask, compile, submit, rescale, decrypt.
+    """Full delegated solve: mask, hhl.submit_solve, decrypt.
 
-    Only (A, b'/||b'||) reach the wire, encoded in the circuit; the job also
-    carries ||b'|| (a function of public data). The returned report's
-    solution field holds the decrypted answer; the pre-decryption vector
-    stays in masked_solution.
+    Only (A, b'/||b'||) reach the job, encoded in the circuit, plus ||b'||
+    (a function of public data); server None executes in-process. The
+    returned report's solution field holds the decrypted answer; the
+    pre-decryption vector stays in masked_solution.
     """
     masked = encrypt(system, key)
-    eig = eigendecompose(masked.a_matrix)
-    b_unit = masked.b_prime / masked.b_prime_norm
-    circuit, c_value = compile_solver_circuit(eig, b_unit, config)
-
-    job = qserve.Job(
-        id=f"solve-{config.mode}-{config.execution}",
-        circuit=emit_text(circuit),
-        mode=config.execution,
-        shots=config.shots if config.execution == "sampled" else None,
-        seed=config.seed if config.execution == "sampled" else None,
-        postselect=(ANCILLA_QUBIT, 1),
-        bases=tuple((b, STATE_QUBIT) for b in "ZXY"),
-        b_prime_norm=masked.b_prime_norm,
-    )
-    response = qserve.submit(server, job)
-
-    masked_ideal = classical_solve(LinearSystem(masked.a_matrix, masked.b_prime))
-    if config.execution == "analytic":
-        amps = np.array([complex(re, im) for re, im in response["amplitudes"]])
-        state = qsim.StateVector.from_amplitudes(amps)
-        solution_amps = qsim.reduced_pure_state(state, STATE_QUBIT)
-        report = extract_solution(
-            solution_amps, response["success_probability"], config,
-            masked.b_prime_norm, c_value=c_value, b_unit=b_unit,
-            ideal=masked_ideal)
-    else:
-        tables = {}
-        kept = raw = 0
-        for item in response["results"]:
-            tables[item["basis"]] = qsim.Counts(
-                item["kept_shots"], dict(item["counts"]))
-            kept += item["kept_shots"]
-            raw += item["raw_shots"]
-        expectations = qsim.pauli_expectations(tables["Z"], tables["X"],
-                                               tables["Y"], STATE_QUBIT)
-        report = extract_solution(
-            expectations, kept / raw, config, masked.b_prime_norm,
-            c_value=c_value, b_unit=b_unit, ideal=masked_ideal)
-
+    report = submit_solve(LinearSystem(masked.a_matrix, masked.b_prime),
+                          config, server)
     plaintext = classical_solve(system)
     decrypted = decrypt(report.solution, key)
     return replace(

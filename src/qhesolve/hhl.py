@@ -1,6 +1,7 @@
-"""Problem setup and circuit construction for the 2x2 quantum linear solver.
-
-Two builders cover the same problem:
+"""Problem setup, circuit construction and the solve pipeline for the 2x2
+quantum linear solver. Every solve runs through submit_solve: compile the
+circuit, submit one qserve job (in-process when no server is given), decode
+the response. Two builders cover the same problem:
 
   - build_optimized_circuit: the three-qubit shortcut (state, eigenvalue,
     ancilla). Exact mode rotates the ancilla on both eigenvalue branches so
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import circ, qsim, synth
+from . import circ, qserve, qsim, synth
 from .circ import Circuit, Gate
 from .qsim import PauliExpectations, StateVector
 
@@ -468,12 +469,7 @@ def extract_solution(post, success_probability: float, config: SolverConfig,
 
     if isinstance(post, PauliExpectations):
         expectations = post
-        nsq = expectations.bloch_norm_sq()
-        max_sigma = max(expectations.sigma_x, expectations.sigma_y,
-                        expectations.sigma_z)
-        if nsq > 1.0 + max(3.0 * max_sigma, 1e-9):
-            raise SolverError(
-                f"inconsistent tomography: Bloch norm^2 {nsq}")
+        qsim.check_bloch_ball(expectations)
         z = min(1.0, max(-1.0, expectations.z))
         a0 = math.sqrt((1.0 + z) / 2.0)
         a1 = math.sqrt((1.0 - z) / 2.0)
@@ -529,13 +525,10 @@ def compile_solver_circuit(eig: EigenDecomp, b_unit: np.ndarray,
     the submitted circuit.
     """
     circuit = build_optimized_circuit(eig, b_unit, config)
-    approximations: dict[float, list[Gate]] = {}
+    chosen: dict[float, synth.CliffordTSequence] = {}
     if config.rs_t_budget is not None:
-        for angle in circuit.ry_angles():
-            result = synth.approximate_unitary(qsim.ry_matrix(angle),
-                                               config.rs_t_budget)
-            approximations[angle] = result.sequence.to_gates(0)
-        circuit = circ.substitute_ry(circuit, approximations)
+        circuit, chosen = synth.substitute_clifford_t(circuit,
+                                                      config.rs_t_budget)
 
     if config.mode == "exact":
         c_value = resolve_c(eig, config)
@@ -543,7 +536,7 @@ def compile_solver_circuit(eig: EigenDecomp, b_unit: np.ndarray,
         theta = rotation_angle_replica(eig, config.theta_override)
         populated = _populated_branch(eig, b_unit)
         lam_pop = abs(eig.lambdas[populated])
-        branch = _branch_unitary(theta, approximations)
+        branch = _branch_unitary(theta, chosen)
         c_value = lam_pop * abs(branch[1, 0])
         if c_value <= 1e-9:
             raise SolverError("replica rotation leaves no ancilla amplitude")
@@ -554,47 +547,63 @@ def compile_solver_circuit(eig: EigenDecomp, b_unit: np.ndarray,
     return circuit, c_value
 
 
-def _branch_unitary(theta: float,
-                    approximations: dict[float, list[Gate]]) -> np.ndarray:
+def _branch_unitary(theta: float, chosen: dict[float, synth.CliffordTSequence]
+                    ) -> np.ndarray:
     """Ancilla rotation on the control-1 branch of the compiled replica CRY."""
     def mat(angle: float) -> np.ndarray:
-        for key, seq in approximations.items():
+        for key, seq in chosen.items():
             if abs(key - angle) <= circ.ANGLE_MATCH_TOL:
-                u = np.eye(2, dtype=complex)
-                for g in seq:
-                    u = qsim.gate_matrix(g) @ u
-                return u
+                return seq.matrix()
         return qsim.ry_matrix(angle)
 
     x = qsim.GATE_MATRICES["x"]
     return x @ mat(-theta / 2.0) @ x @ mat(theta / 2.0)
 
 
-def solve_system(system: LinearSystem, config: SolverConfig) -> SolutionReport:
-    """Run the full local pipeline (no server): compile, simulate, extract."""
+def submit_solve(system: LinearSystem, config: SolverConfig,
+                 server: tuple[str, int] | str | None = None
+                 ) -> SolutionReport:
+    """The one solve pipeline: compile, submit one job, decode the response.
+
+    The job carries only the compiled circuit and ||b||. With no server it
+    runs in-process through the server's own request handling.
+    """
     eig = eigendecompose(system.a)
     b_norm = float(np.linalg.norm(system.b))
     if b_norm <= 0:
         raise SolverError("b must be nonzero")
     b_unit = system.b / b_norm
     circuit, c_value = compile_solver_circuit(eig, b_unit, config)
-    ancilla = ANCILLA_QUBIT
-    ideal = classical_solve(system)
+    sampled = config.execution == "sampled"
+    job = qserve.Job(
+        id=f"solve-{config.mode}-{config.execution}",
+        circuit=circ.emit_text(circuit),
+        mode=config.execution,
+        shots=config.shots if sampled else None,
+        seed=config.seed if sampled else None,
+        postselect=(ANCILLA_QUBIT, 1),
+        bases=tuple((b, STATE_QUBIT) for b in "ZXY"),
+        b_prime_norm=b_norm,
+    )
+    response = qserve.submit(server, job)
 
-    if config.execution == "analytic":
-        state = qsim.run_statevector(circuit)
-        post, prob = qsim.postselect(state, ancilla, 1)
-        amps = qsim.reduced_pure_state(post, STATE_QUBIT)
-        return extract_solution(amps, prob, config, b_norm,
-                                c_value=c_value, b_unit=b_unit, ideal=ideal)
+    if sampled:
+        results = response["results"]
+        tables = {item["basis"]: qsim.Counts(item["kept_shots"], item["counts"])
+                  for item in results}
+        post = qsim.pauli_expectations(tables["Z"], tables["X"], tables["Y"],
+                                       STATE_QUBIT)
+        prob = (sum(item["kept_shots"] for item in results)
+                / sum(item["raw_shots"] for item in results))
+    else:
+        state = qsim.StateVector.from_amplitudes(
+            [complex(re, im) for re, im in response["amplitudes"]])
+        post = qsim.reduced_pure_state(state, STATE_QUBIT)
+        prob = response["success_probability"]
+    return extract_solution(post, prob, config, b_norm, c_value=c_value,
+                            b_unit=b_unit, ideal=classical_solve(system))
 
-    counts = {}
-    for basis, seed in zip("ZXY", qsim.basis_seeds(config.seed, 3)):
-        table = qsim.measured_counts(circuit, basis, STATE_QUBIT,
-                                     config.shots, seed)
-        counts[basis] = qsim.postselect_counts(table, ancilla, 1)
-    prob = sum(counts[b].shots for b in "ZXY") / (3.0 * config.shots)
-    expectations = qsim.pauli_expectations(counts["Z"], counts["X"],
-                                           counts["Y"], STATE_QUBIT)
-    return extract_solution(expectations, prob, config, b_norm,
-                            c_value=c_value, b_unit=b_unit, ideal=ideal)
+
+def solve_system(system: LinearSystem, config: SolverConfig) -> SolutionReport:
+    """Solve without masking, executing in-process."""
+    return submit_solve(system, config)

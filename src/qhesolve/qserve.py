@@ -5,7 +5,8 @@ followed by that many bytes of UTF-8 JSON. One request frame yields exactly
 one response frame; malformed payloads get an error response and the
 connection stays open. The server executes circuits it is sent and nothing
 else; it depends only on the simulator and the IR, so no key material is
-even importable here.
+even importable here. submit() without an address runs a job in-process
+through the same request handling, encoded and decoded as on the wire.
 
 Request fields: id, circuit (text format), mode ("analytic"|"sampled"),
 shots/seed (sampled), postselect {qubit, outcome}, bases [{basis, qubit}],
@@ -15,8 +16,10 @@ per-basis counts with raw/kept shot totals, or error + detail.
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
+import math
 import socket
 import socketserver
 import struct
@@ -106,14 +109,8 @@ def _run_with_noise(circuit: circ.Circuit, p: float,
     return state
 
 
-def _sampled_basis_counts(circuit: circ.Circuit, basis: str, qubit: int,
-                          shots: int, seed: int, noise_p: float) -> qsim.Counts:
-    rotation = circ.basis_change(basis, qubit)
-    if noise_p == 0.0:
-        state = qsim.run_statevector(circuit)
-        for gate in rotation:
-            state = qsim.apply_gate(state, gate)
-        return qsim.sample_counts(state, shots, seed)
+def _noisy_counts(circuit: circ.Circuit, rotation: list[circ.Gate],
+                  shots: int, seed: int, noise_p: float) -> qsim.Counts:
     # Trajectory sampling: every shot evolves under its own noise draw.
     rng = np.random.default_rng(seed)
     n = circuit.n_qubits
@@ -138,10 +135,10 @@ def execute_job(payload: dict) -> dict:
     def fail(code: str, detail: str) -> dict:
         return {"id": job_id, "error": code, "detail": detail}
 
+    if not isinstance(payload.get("circuit"), str):
+        return fail("bad_request", "missing or non-text circuit")
     try:
         circuit = circ.parse_text(payload["circuit"])
-    except KeyError:
-        return fail("bad_request", "missing circuit")
     except circ.CircuitSyntaxError as exc:
         return fail("parse_error", str(exc))
     except circ.CircuitError as exc:
@@ -152,13 +149,16 @@ def execute_job(payload: dict) -> dict:
     if postselect is not None:
         try:
             postselect = (int(postselect["qubit"]), int(postselect["outcome"]))
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             return fail("bad_request", "postselect needs qubit and outcome")
         if postselect[1] not in (0, 1):
             return fail("bad_request", "postselect outcome must be 0 or 1")
-    noise_p = float(payload.get("noise_p", 0.0))
+    try:
+        noise_p = float(payload.get("noise_p", 0.0))
+    except (TypeError, ValueError):
+        noise_p = math.nan  # fails the range check below
     if not 0.0 <= noise_p <= 0.5:
-        return fail("bad_request", "noise_p must be in [0, 0.5]")
+        return fail("bad_request", "noise_p must be a number in [0, 0.5]")
 
     try:
         if mode == "analytic":
@@ -178,17 +178,31 @@ def execute_job(payload: dict) -> dict:
         if mode == "sampled":
             shots = payload.get("shots")
             seed = payload.get("seed")
-            if not isinstance(shots, int) or shots < 1:
+            # type() is exact: JSON true is a bool, not a count
+            if type(shots) is not int or shots < 1:
                 return fail("bad_request", "sampled mode needs shots >= 1")
-            if not isinstance(seed, int):
-                return fail("bad_request", "sampled mode needs an integer seed")
-            bases = payload.get("bases") or [{"basis": "Z", "qubit": 0}]
+            if type(seed) is not int or seed < 0:
+                return fail("bad_request",
+                            "sampled mode needs an integer seed >= 0")
+            try:
+                bases = [(spec["basis"], int(spec["qubit"])) for spec in
+                         payload.get("bases") or [{"basis": "Z", "qubit": 0}]]
+            except (KeyError, TypeError, ValueError, OverflowError):
+                return fail("bad_request", "each basis needs basis and qubit")
+            if any(not 0 <= q < circuit.n_qubits for _, q in bases):
+                return fail("bad_request", "basis qubit outside the circuit")
+            # Noiseless jobs simulate once; each basis rotates that state.
+            state = qsim.run_statevector(circuit) if noise_p == 0.0 else None
             results = []
             seeds = qsim.basis_seeds(seed, len(bases))
-            for spec, child_seed in zip(bases, seeds):
-                basis, qubit = spec["basis"], int(spec["qubit"])
-                counts = _sampled_basis_counts(circuit, basis, qubit, shots,
-                                               child_seed, noise_p)
+            for (basis, qubit), child_seed in zip(bases, seeds):
+                rotation = circ.basis_change(basis, qubit)
+                if state is None:
+                    counts = _noisy_counts(circuit, rotation, shots,
+                                           child_seed, noise_p)
+                else:
+                    rotated = functools.reduce(qsim.apply_gate, rotation, state)
+                    counts = qsim.sample_counts(rotated, shots, child_seed)
                 kept = counts
                 if postselect is not None:
                     kept = qsim.postselect_counts(counts, *postselect)
@@ -211,10 +225,15 @@ def execute_job(payload: dict) -> dict:
 # Framing
 # ---------------------------------------------------------------------------
 
-def send_frame(sock: socket.socket, payload: dict):
+def _encode(payload: dict) -> bytes:
     data = json.dumps(payload, sort_keys=True).encode("utf-8")
     if len(data) > MAX_FRAME_BYTES:
         raise TransportError(f"frame of {len(data)} bytes exceeds the limit")
+    return data
+
+
+def send_frame(sock: socket.socket, payload: dict):
+    data = _encode(payload)
     sock.sendall(FRAME_HEADER.pack(len(data)) + data)
 
 
@@ -242,6 +261,20 @@ def recv_frame(sock: socket.socket) -> bytes | None:
     if payload is None:
         raise TransportError("connection closed mid-frame")
     return payload
+
+
+def handle_request(payload_bytes: bytes) -> dict:
+    """The response payload for one request frame's bytes."""
+    try:
+        payload = json.loads(payload_bytes.decode("utf-8"))
+        if not isinstance(payload, dict):
+            raise ValueError("payload must be a JSON object")
+    except (UnicodeDecodeError, ValueError) as exc:
+        return {"error": "bad_request", "detail": f"undecodable payload: {exc}"}
+    response = execute_job(payload)
+    log.info("job id=%s mode=%s -> %s", payload.get("id"), payload.get("mode"),
+             "error" if "error" in response else "ok")
+    return response
 
 
 # ---------------------------------------------------------------------------
@@ -278,19 +311,8 @@ class _Handler(socketserver.BaseRequestHandler):
             if payload_bytes is None:
                 return
             self.server.record(payload_bytes)
-            try:
-                payload = json.loads(payload_bytes.decode("utf-8"))
-                if not isinstance(payload, dict):
-                    raise ValueError("payload must be a JSON object")
-            except (UnicodeDecodeError, ValueError) as exc:
-                response = {"error": "bad_request",
-                            "detail": f"undecodable payload: {exc}"}
-            else:
-                with self.server.job_slots:
-                    response = execute_job(payload)
-                log.info("job id=%s mode=%s -> %s",
-                         payload.get("id"), payload.get("mode"),
-                         "error" if "error" in response else "ok")
+            with self.server.job_slots:
+                response = handle_request(payload_bytes)
             try:
                 send_frame(self.request, response)
             except OSError:
@@ -371,21 +393,29 @@ def _parse_address(server: tuple[str, int] | str) -> tuple[str, int]:
     return host, int(port)
 
 
-def submit(server: tuple[str, int] | str, job: Job,
+def submit(server: tuple[str, int] | str | None, job: Job,
            timeout: float = DEFAULT_TIMEOUT) -> dict:
-    """Synchronous round trip; raises ServerError on an error payload."""
-    address = _parse_address(server)
-    try:
-        with socket.create_connection(address, timeout=timeout) as sock:
-            sock.settimeout(timeout)
-            send_frame(sock, job.to_payload())
-            payload_bytes = recv_frame(sock)
-    except socket.timeout as exc:
-        raise TransportError(f"timeout talking to {address}") from exc
-    except OSError as exc:
-        raise TransportError(f"cannot reach {address}: {exc}") from exc
-    if payload_bytes is None:
-        raise TransportError("server closed the connection without replying")
+    """Synchronous round trip; raises ServerError on an error payload.
+
+    With server None the job runs in-process, with no socket: the same
+    frame bytes go through handle_request, as on the server.
+    """
+    if server is None:
+        payload_bytes = _encode(handle_request(_encode(job.to_payload())))
+    else:
+        address = _parse_address(server)
+        try:
+            with socket.create_connection(address, timeout=timeout) as sock:
+                sock.settimeout(timeout)
+                send_frame(sock, job.to_payload())
+                payload_bytes = recv_frame(sock)
+        except socket.timeout as exc:
+            raise TransportError(f"timeout talking to {address}") from exc
+        except OSError as exc:
+            raise TransportError(f"cannot reach {address}: {exc}") from exc
+        if payload_bytes is None:
+            raise TransportError(
+                "server closed the connection without replying")
     response = json.loads(payload_bytes.decode("utf-8"))
     if "error" in response:
         raise ServerError(response["error"], response.get("detail", ""))

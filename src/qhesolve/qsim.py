@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circ import Circuit, Gate, basis_change
+from .circ import Circuit, Gate
 
 log = logging.getLogger(__name__)
 
@@ -340,11 +340,29 @@ def bloch_point(vec) -> tuple[float, float, float]:
             float(abs(a0) ** 2 - abs(a1) ** 2))
 
 
+def check_bloch_ball(e: PauliExpectations) -> float:
+    """The tomographed |r|^2, or an error if no state can explain it.
+
+    Finite shots bias |r|^2 up by sum(sigma_i^2) and spread it by
+    2 sqrt(sum(e_i^2 sigma_i^2)) (delta method); an excess over 1 beyond
+    that bias plus five such spreads is inconsistent tomography.
+    """
+    pairs = ((e.x, e.sigma_x), (e.y, e.sigma_y), (e.z, e.sigma_z))
+    nsq = sum(v * v for v, _ in pairs)
+    bias = sum(s * s for _, s in pairs)
+    spread = 2.0 * math.sqrt(sum((v * s) ** 2 for v, s in pairs))
+    if nsq > 1.0 + max(bias + 5.0 * spread, 1e-9):
+        raise SimulationError(
+            f"inconsistent tomography: Bloch norm^2 {nsq} exceeds the ball "
+            f"beyond 5 sigma")
+    return nsq
+
+
 def fidelity_from_expectations(e: PauliExpectations, ideal) -> float:
     """<ideal| rho_exp |ideal> with rho_exp = (I + xX + yY + zZ)/2.
 
     A Bloch vector slightly outside the ball (finite-shot fluctuation) is
-    rescaled onto it and logged; an excess beyond 3 sigma is an error.
+    rescaled onto it and logged; check_bloch_ball rejects a larger excess.
     """
     ideal = np.asarray(ideal.amps if isinstance(ideal, StateVector) else ideal,
                        dtype=complex)
@@ -353,12 +371,7 @@ def fidelity_from_expectations(e: PauliExpectations, ideal) -> float:
     if abs(np.linalg.norm(ideal) - 1.0) > 1e-9:
         raise SimulationError("ideal state must be normalized")
     x_, y_, z_ = e.x, e.y, e.z
-    nsq = x_ * x_ + y_ * y_ + z_ * z_
-    max_sigma = max(e.sigma_x, e.sigma_y, e.sigma_z)
-    if nsq > 1.0 + max(3.0 * max_sigma, 1e-9):
-        raise SimulationError(
-            f"inconsistent tomography: Bloch norm^2 {nsq} exceeds the ball "
-            f"beyond 3 sigma")
+    nsq = check_bloch_ball(e)
     if nsq > 1.0:
         scale = 1.0 / math.sqrt(nsq)
         log.info("clamping super-normalized Bloch vector (norm^2 %.3e) "
@@ -366,12 +379,3 @@ def fidelity_from_expectations(e: PauliExpectations, ideal) -> float:
         x_, y_, z_ = x_ * scale, y_ * scale, z_ * scale
     ix, iy, iz = bloch_point(ideal)
     return 0.5 * (1.0 + x_ * ix + y_ * iy + z_ * iz)
-
-
-def measured_counts(circuit: Circuit, basis: str, qubit: int, shots: int,
-                    seed: int) -> Counts:
-    """Run the circuit, rotate `qubit` into `basis`, and sample."""
-    state = run_statevector(circuit)
-    for gate in basis_change(basis, qubit):
-        state = apply_gate(state, gate)
-    return sample_counts(state, shots, seed)

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import circ
-from .qsim import GATE_MATRICES, is_unitary
+from .qsim import GATE_MATRICES, is_unitary, ry_matrix
 
 MAX_T_BUDGET = 8
 _DEDUP_DECIMALS = 9
@@ -233,6 +233,18 @@ def approximate_unitary(target: np.ndarray, t_budget: int) -> SynthResult:
     sequence = CliffordTSequence(best_entry.word)
     return SynthResult(sequence=sequence, unitary=best_entry.matrix,
                        similarity=float(best_sim), target=target)
+
+
+def substitute_clifford_t(circuit: circ.Circuit, t_budget: int
+                          ) -> tuple[circ.Circuit, dict[float, CliffordTSequence]]:
+    """Replace every ry with its best Clifford+T word within the T budget.
+
+    Returns the rewritten circuit and the word chosen for each ry angle.
+    """
+    chosen = {angle: approximate_unitary(ry_matrix(angle), t_budget).sequence
+              for angle in circuit.ry_angles()}
+    gates = {angle: seq.to_gates(0) for angle, seq in chosen.items()}
+    return circ.substitute_ry(circuit, gates), chosen
 
 
 def tied_maximizers(target: np.ndarray, t_budget: int,

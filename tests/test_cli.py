@@ -1,5 +1,6 @@
 """CLI behavior: determinism, exit codes, and the documented examples."""
 import math
+import socket
 
 import numpy as np
 import pytest
@@ -209,3 +210,61 @@ def test_submit_verb_round_trip(capsys, tmp_path, server):
     assert status == 0
     import json
     assert json.loads(out)["id"] == "cli-1"
+
+
+# ---------------------------------------------------------------------------
+# in-process execution
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["--fixture", "eq7", "--key", "1,0", "--mode", "replica",
+     "--execution", "sampled", "--shots", "8192", "--seed", "7"],
+    ["--fixture", "eq8", "--key", "1,0", "--mode", "exact",
+     "--execution", "analytic"],
+    ["--matrix=1.2,0.4,0.4,0.9", "--rhs=-0.5,1", "--key", "0,1",
+     "--mode", "exact", "--execution", "sampled", "--seed", "4"],
+])
+def test_solve_in_process_matches_server(capsys, server, argv):
+    host, port = server.address
+    local = run_cli(capsys, ["solve", *argv])
+    remote = run_cli(capsys, ["solve", *argv, "--server", f"{host}:{port}"])
+    assert local[0] == 0
+    assert local == remote
+
+
+def test_solve_and_simulate_open_no_socket(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise OSError("no sockets in this test")
+
+    monkeypatch.setattr(socket, "socket", refuse)
+    status, out, err = run_cli(capsys, [
+        "solve", "--fixture", "eq7", "--key", "1,0", "--mode", "exact",
+        "--execution", "sampled", "--shots", "1024", "--seed", "2"])
+    assert status == 0, err
+    assert report_values(out)["relative_error"] < 0.1
+    src = tmp_path / "bell.qc"
+    src.write_text("qubits 2\nh q0\ncx q0 q1\n")
+    status, out, err = run_cli(capsys, ["simulate", "--circuit", str(src)])
+    assert status == 0, err
+
+
+def test_sampled_solve_just_outside_the_ball_is_accepted(capsys):
+    # A correct pure state whose 8192-shot tomography gives |r|^2 = 1.0406,
+    # 2.4 sigma of the delta-method spread above the ball.
+    matrix = "1.031382351709835,1.3304631105359532,1.3304631105359532," \
+             "5.587434331849081"
+    rhs = "0.3377155756992855,-0.31071885365042484"
+    status, out, err = run_cli(capsys, [
+        "solve", f"--matrix={matrix}", f"--rhs={rhs}", "--key", "0,0",
+        "--mode", "exact", "--execution", "sampled", "--seed", "2102065939"])
+    assert status == 0, err
+    values = report_values(out)
+    got = np.array([values["solution_1"], values["solution_2"]])
+    want = np.linalg.solve(np.array(matrix.split(","), float).reshape(2, 2),
+                           np.array(rhs.split(","), float))
+    # 5 sigma of the direction (1/(2 sqrt(kept))) and scale (binomial
+    # success probability over 3 x 8192 raw shots) errors
+    success, shots = values["success_probability"], 8192
+    sigma = math.sqrt(1.0 / (4.0 * success * shots)
+                      + (1.0 - success) / (12.0 * success * shots))
+    assert np.linalg.norm(got - want) / np.linalg.norm(want) < 5.0 * sigma

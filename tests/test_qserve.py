@@ -242,3 +242,60 @@ def test_server_never_imports_key_material():
     source = open(module.__file__, encoding="utf-8").read()
     assert "hecrypt" not in source
     assert "MaskKey" not in source
+
+
+# ---------------------------------------------------------------------------
+# malformed jobs and the in-process transport
+# ---------------------------------------------------------------------------
+
+MALFORMED = {
+    "noise_p_not_numeric": {"noise_p": "high"},
+    "basis_without_qubit": {"bases": [{"basis": "Z"}]},
+    "negative_seed": {"seed": -1},
+    "circuit_not_string": {"circuit": 42},
+    "shots_boolean": {"shots": True},
+    "basis_qubit_outside_circuit": {"bases": [{"basis": "Z", "qubit": 3}]},
+    "basis_qubit_infinite": {"bases": [{"basis": "Z", "qubit": math.inf}]},
+    "postselect_qubit_infinite": {"postselect": {"qubit": math.inf,
+                                                 "outcome": 1}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_job_gets_one_bad_request(name, server):
+    payload = {"id": "bad", "circuit": "qubits 1\nh q0\n", "mode": "sampled",
+               "shots": 16, "seed": 1, "bases": [{"basis": "Z", "qubit": 0}],
+               **MALFORMED[name]}
+    direct = execute_job(payload)
+    assert (direct["id"], direct["error"]) == ("bad", "bad_request")
+    with socket.create_connection(server.address, timeout=5.0) as sock:
+        qserve.send_frame(sock, payload)
+        assert json.loads(qserve.recv_frame(sock)) == direct
+        # exactly one reply, and the same connection serves the next job
+        qserve.send_frame(sock, Job(id="after", circuit=BELL).to_payload())
+        assert json.loads(qserve.recv_frame(sock))["id"] == "after"
+
+
+def test_noiseless_sampled_job_simulates_once(monkeypatch):
+    calls = []
+    run = qsim.run_statevector
+
+    def counting(circuit, *args):
+        calls.append(circuit)
+        return run(circuit, *args)
+
+    monkeypatch.setattr(qsim, "run_statevector", counting)
+    payload = Job(id="j", circuit=replica_circuit_text(), mode="sampled",
+                  shots=256, seed=4, postselect=(2, 1),
+                  bases=(("Z", 0), ("X", 0), ("Y", 0), ("X", 1))).to_payload()
+    assert len(execute_job(payload)["results"]) == 4
+    assert len(calls) == 1
+
+
+def test_in_process_submit_matches_server(server):
+    job = Job(id="same", circuit=replica_circuit_text(), mode="sampled",
+              shots=2048, seed=21, postselect=(2, 1),
+              bases=(("Z", 0), ("X", 0), ("Y", 0)))
+    assert submit(None, job) == submit(server.address, job)
+    with pytest.raises(ServerError, match="parse_error"):
+        submit(None, Job(id="x", circuit="qubits 1\nq q0\n"))
