@@ -10,6 +10,7 @@ import argparse
 import json
 import logging
 import math
+import re
 import sys
 
 import numpy as np
@@ -310,6 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):  # argparse reads -1,2 as a flag
+        if argv[i] in ("--matrix", "--rhs") and re.match("-[.0-9]", argv[i + 1]):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

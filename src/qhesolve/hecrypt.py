@@ -80,10 +80,11 @@ def solve_encrypted(system: LinearSystem, key: MaskKey,
                     config: SolverConfig) -> SolutionReport:
     """Full delegated solve: mask, hhl.submit_solve, decrypt.
 
-    Only (A, b'/||b'||) reach the job, encoded in the circuit, plus ||b'||
-    (a function of public data); server None executes in-process. The
-    returned report's solution field holds the decrypted answer; the
-    pre-decryption vector stays in masked_solution.
+    Only A and the direction b'/||b'|| reach the job, encoded in the
+    circuit. ||b'|| depends on the private b, so it stays with the client
+    for scale recovery; server None executes in-process. The returned
+    report's solution field holds the decrypted answer; the pre-decryption
+    vector stays in masked_solution.
     """
     masked = encrypt(system, key)
     report = submit_solve(LinearSystem(masked.a_matrix, masked.b_prime),

@@ -565,8 +565,9 @@ def submit_solve(system: LinearSystem, config: SolverConfig,
                  ) -> SolutionReport:
     """The one solve pipeline: compile, submit one job, decode the response.
 
-    The job carries only the compiled circuit and ||b||. With no server it
-    runs in-process through the server's own request handling.
+    The job carries only the compiled circuit; ||b|| stays here for scale
+    recovery. With no server it runs in-process through the server's own
+    request handling.
     """
     eig = eigendecompose(system.a)
     b_norm = float(np.linalg.norm(system.b))
@@ -583,7 +584,6 @@ def submit_solve(system: LinearSystem, config: SolverConfig,
         seed=config.seed if sampled else None,
         postselect=(ANCILLA_QUBIT, 1),
         bases=tuple((b, STATE_QUBIT) for b in "ZXY"),
-        b_prime_norm=b_norm,
     )
     response = qserve.submit(server, job)
 

@@ -10,9 +10,10 @@ through the same request handling, encoded and decoded as on the wire.
 
 Request fields: id, circuit (text format), mode ("analytic"|"sampled"),
 shots/seed (sampled), postselect {qubit, outcome}, bases [{basis, qubit}],
-noise_p (optional depolarizing knob, sampled only), b_prime_norm (opaque
-passthrough). Responses carry either amplitudes + success_probability or
-per-basis counts with raw/kept shot totals, or error + detail.
+noise_p (optional, sampled only: an exact depolarizing channel after every
+gate, evolved as one density matrix per job). Responses carry either
+amplitudes + success_probability or per-basis counts with raw/kept shot
+totals, or error + detail.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import functools
 import json
 import logging
 import math
+import selectors
 import socket
 import socketserver
 import struct
@@ -64,7 +66,6 @@ class Job:
     postselect: tuple[int, int] | None = None
     bases: tuple[tuple[str, int], ...] = ()
     noise_p: float | None = None
-    b_prime_norm: float | None = None
 
     def to_payload(self) -> dict:
         payload = {"id": self.id, "circuit": self.circuit, "mode": self.mode}
@@ -78,8 +79,6 @@ class Job:
             payload["bases"] = [{"basis": b, "qubit": q} for b, q in self.bases]
         if self.noise_p is not None:
             payload["noise_p"] = self.noise_p
-        if self.b_prime_norm is not None:
-            payload["b_prime_norm"] = self.b_prime_norm
         return payload
 
 
@@ -89,7 +88,7 @@ def apply_depolarizing(state: qsim.StateVector, p: float, qubit: int,
 
     With probability p a Pauli drawn uniformly from {X, Y, Z} is applied;
     p = 0 is the identity. Averaging trajectories at p gives
-    <Z> = 1 - 4p/3 on |0>.
+    <Z> = 1 - 4p/3 on |0>, the channel qsim.run_density applies exactly.
     """
     if not 0.0 <= p <= 0.5:
         raise qsim.SimulationError("depolarizing probability must be in [0, 0.5]")
@@ -97,33 +96,6 @@ def apply_depolarizing(state: qsim.StateVector, p: float, qubit: int,
         return state
     kind = _PAULI_KINDS[int(rng.integers(3))]
     return qsim.apply_gate(state, circ.Gate(kind, (qubit,)))
-
-
-def _run_with_noise(circuit: circ.Circuit, p: float,
-                    rng: np.random.Generator) -> qsim.StateVector:
-    state = qsim.StateVector.zero(circuit.n_qubits)
-    for gate in circuit.gates:
-        state = qsim.apply_gate(state, gate)
-        for q in gate.qubits:
-            state = apply_depolarizing(state, p, q, rng)
-    return state
-
-
-def _noisy_counts(circuit: circ.Circuit, rotation: list[circ.Gate],
-                  shots: int, seed: int, noise_p: float) -> qsim.Counts:
-    # Trajectory sampling: every shot evolves under its own noise draw.
-    rng = np.random.default_rng(seed)
-    n = circuit.n_qubits
-    table: dict[str, int] = {}
-    for _ in range(shots):
-        state = _run_with_noise(circuit, noise_p, rng)
-        for gate in rotation:
-            state = qsim.apply_gate(state, gate)
-        probs = state.probabilities()
-        outcome = int(rng.choice(len(probs), p=probs / probs.sum()))
-        key = format(outcome, f"0{n}b")
-        table[key] = table.get(key, 0) + 1
-    return qsim.Counts(shots, table)
 
 
 def execute_job(payload: dict) -> dict:
@@ -163,8 +135,8 @@ def execute_job(payload: dict) -> dict:
     try:
         if mode == "analytic":
             if noise_p:
-                return fail("bad_request",
-                            "noise is trajectory-sampled; use sampled mode")
+                return fail("bad_request", "a noisy job yields a mixed "
+                            "state, not amplitudes; use sampled mode")
             state = qsim.run_statevector(circuit)
             success = 1.0
             if postselect is not None:
@@ -191,18 +163,15 @@ def execute_job(payload: dict) -> dict:
                 return fail("bad_request", "each basis needs basis and qubit")
             if any(not 0 <= q < circuit.n_qubits for _, q in bases):
                 return fail("bad_request", "basis qubit outside the circuit")
-            # Noiseless jobs simulate once; each basis rotates that state.
-            state = qsim.run_statevector(circuit) if noise_p == 0.0 else None
+            # Simulate once; each basis rotates that state without noise.
+            state = (qsim.run_density(circuit, noise_p) if noise_p
+                     else qsim.run_statevector(circuit))
             results = []
             seeds = qsim.basis_seeds(seed, len(bases))
             for (basis, qubit), child_seed in zip(bases, seeds):
                 rotation = circ.basis_change(basis, qubit)
-                if state is None:
-                    counts = _noisy_counts(circuit, rotation, shots,
-                                           child_seed, noise_p)
-                else:
-                    rotated = functools.reduce(qsim.apply_gate, rotation, state)
-                    counts = qsim.sample_counts(rotated, shots, child_seed)
+                rotated = functools.reduce(qsim.apply_gate, rotation, state)
+                counts = qsim.sample_counts(rotated, shots, child_seed)
                 kept = counts
                 if postselect is not None:
                     kept = qsim.postselect_counts(counts, *postselect)
@@ -328,7 +297,22 @@ class _TCPServer(socketserver.ThreadingTCPServer):
         self.job_slots = threading.BoundedSemaphore(config.max_concurrent_jobs)
         self._records: list[bytes] = []
         self._records_lock = threading.Lock()
+        # a byte on wake ends serve_until_stopped's select, which has no
+        # timeout: an idle server never polls, and stops at once
+        self.wake, self._woken = socket.socketpair()
         super().__init__((config.host, config.port), _Handler)
+
+    def serve_until_stopped(self):
+        with selectors.DefaultSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            selector.register(self._woken, selectors.EVENT_READ)
+            while all(key.fileobj is self for key, _ in selector.select()):
+                self._handle_request_noblock()
+
+    def server_close(self):
+        super().server_close()
+        self.wake.close()
+        self._woken.close()
 
     def record(self, payload_bytes: bytes):
         if not self.config.record_payloads:
@@ -361,20 +345,21 @@ class ExecutionServer:
         return self._server.records
 
     def start(self) -> tuple[str, int]:
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        name="qhesolve-server", daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_until_stopped, name="qhesolve-server",
+            daemon=True)
         self._thread.start()
         return self.address
 
     def serve_forever(self):
         log.info("serving on %s:%d", *self.address)
-        self._server.serve_forever()
+        self._server.serve_until_stopped()
 
     def shutdown(self):
-        self._server.shutdown()
-        self._server.server_close()
+        self._server.wake.send(b"\0")
         if self._thread is not None:
             self._thread.join(timeout=5.0)
+        self._server.server_close()
 
     def __enter__(self) -> "ExecutionServer":
         self.start()

@@ -105,6 +105,18 @@ class StateVector:
 
 
 @dataclass(frozen=True)
+class DensityMatrix:
+    """Mixed state as a 2n-axis tensor: n row axes, then n column axes."""
+
+    n_qubits: int
+    tensor: np.ndarray
+
+    def probabilities(self) -> np.ndarray:
+        dim = 2 ** self.n_qubits  # clip: rounding can leave -1e-18
+        return np.diagonal(self.tensor.reshape(dim, dim)).real.clip(0.0)
+
+
+@dataclass(frozen=True)
 class Counts:
     """Sampled measurement table: bitstring -> count, totalling `shots`."""
 
@@ -163,14 +175,10 @@ def _apply_single(tensor: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:
 
 
 def _apply_cnot(tensor: np.ndarray, control: int, target: int) -> np.ndarray:
-    def branch(cv, tv):
-        idx = [slice(None)] * tensor.ndim
-        idx[control], idx[target] = cv, tv
-        return tuple(idx)
-
+    ones = [slice(None)] * tensor.ndim
+    ones[control] = 1  # the control-1 half: later axes shift down by one
     out = tensor.copy()
-    out[branch(1, 0)] = tensor[branch(1, 1)]
-    out[branch(1, 1)] = tensor[branch(1, 0)]
+    out[tuple(ones)] = np.flip(tensor[tuple(ones)], target - (target > control))
     return out
 
 
@@ -180,10 +188,22 @@ def _apply_gate_tensor(tensor: np.ndarray, gate: Gate) -> np.ndarray:
     return _apply_single(tensor, gate_matrix(gate), gate.qubit)
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate; indices are checked, the norm is preserved."""
+def _apply_gate_density(tensor: np.ndarray, gate: Gate, n: int) -> np.ndarray:
+    # U rho U^dag: U on the row axes, conj(U) on the column axes
+    tensor = _apply_gate_tensor(tensor, gate)
+    if gate.kind == "cx":
+        return _apply_cnot(tensor, gate.control + n, gate.target + n)
+    return _apply_single(tensor, gate_matrix(gate).conj(), gate.qubit + n)
+
+
+def apply_gate(state: StateVector | DensityMatrix, gate: Gate):
+    """Apply one gate (U rho U^dag to a density matrix); indices are checked,
+    the norm (trace) is preserved."""
     for q in gate.qubits:
         _check_qubit(state.n_qubits, q)
+    if isinstance(state, DensityMatrix):
+        return DensityMatrix(state.n_qubits, _apply_gate_density(
+            state.tensor, gate, state.n_qubits))
     tensor = state.amps.reshape([2] * state.n_qubits)
     tensor = _apply_gate_tensor(tensor, gate)
     return StateVector(state.n_qubits, tensor.reshape(-1))
@@ -201,6 +221,28 @@ def run_statevector(circuit: Circuit,
     for gate in circuit.gates:
         tensor = _apply_gate_tensor(tensor, gate)
     return StateVector(circuit.n_qubits, tensor.reshape(-1))
+
+
+def run_density(circuit: Circuit, noise_p: float) -> DensityMatrix:
+    """|0...0><0...0| through the circuit; after each gate, each qubit q it
+    touches goes through the depolarizing channel (1-p) rho + (p/3)(X rho X +
+    Y rho Y + Z rho Z) = (1 - 4p/3) rho + (4p/3) I/2 (x) Tr_q rho, p in
+    [0, 0.5]: the mean of qserve.apply_depolarizing's trajectories, exactly.
+    Cost is O(gates * 4^n) whatever the shot count."""
+    n = circuit.n_qubits
+    tensor = np.zeros((2,) * (2 * n), dtype=complex)
+    tensor[(0,) * (2 * n)] = 1.0
+    keep, mix = 1.0 - 4.0 * noise_p / 3.0, 2.0 * noise_p / 3.0
+    for gate in circuit.gates:
+        tensor = _apply_gate_density(tensor, gate, n)
+        for q in gate.qubits:
+            blocks = np.moveaxis(tensor, (q, q + n), (0, 1))
+            out = keep * blocks
+            traced = mix * (blocks[0, 0] + blocks[1, 1])
+            out[0, 0] += traced
+            out[1, 1] += traced
+            tensor = np.moveaxis(out, (0, 1), (q, q + n))
+    return DensityMatrix(n, tensor)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -229,8 +271,9 @@ def basis_seeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
 
 
-def sample_counts(state: StateVector, shots: int, seed: int) -> Counts:
-    """Draw i.i.d. outcomes from |amp|^2; deterministic for a fixed seed."""
+def sample_counts(state: StateVector | DensityMatrix, shots: int,
+                  seed: int) -> Counts:
+    """Draw i.i.d. outcomes from the state's probabilities; seeded."""
     if shots < 1:
         raise SimulationError("shots must be >= 1")
     rng = np.random.default_rng(seed)

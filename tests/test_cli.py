@@ -232,6 +232,18 @@ def test_solve_in_process_matches_server(capsys, server, argv):
     assert local == remote
 
 
+@pytest.mark.parametrize("values", [
+    ["--matrix", "1.2,0.4,0.4,0.9", "--rhs", "-0.5,1"],
+    ["--matrix", "-1,0.2,0.2,-0.8", "--rhs", "-.5,-1"],
+])
+def test_values_starting_with_minus_parse_in_both_forms(capsys, values):
+    # a usage error would raise SystemExit out of the spaced form
+    spaced = run_cli(capsys, ["solve", *values, "--key", "0,1"])
+    joined = run_cli(capsys, ["solve", f"{values[0]}={values[1]}",
+                              f"{values[2]}={values[3]}", "--key", "0,1"])
+    assert spaced == joined
+
+
 def test_solve_and_simulate_open_no_socket(capsys, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise OSError("no sockets in this test")

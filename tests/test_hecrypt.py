@@ -183,3 +183,23 @@ def test_job_payload_never_carries_key_or_plaintext():
         assert "key" not in text.lower()
         # the mask vector never appears as a JSON array
         assert "[1, 0]" not in text and "[1,0]" not in text
+
+
+@pytest.mark.parametrize("config", [
+    SolverConfig(mode="exact", execution="analytic"),
+    SolverConfig(mode="replica", theta_override=fixtures.REPLICA_THETA,
+                 execution="sampled", shots=256, seed=3,
+                 star_center=hhl.EIGEN_QUBIT, rs_t_budget=7),
+], ids=["exact-analytic", "replica-sampled"])
+def test_server_view_does_not_depend_on_the_scale_of_b_prime(config):
+    # ||b'|| depends on the private b: the frame must not carry it
+    masked = encrypt(fixtures.eq7(), MaskKey((1, 0)))
+    recorder = qserve.ExecutionServer(qserve.ServerConfig(record_payloads=True))
+    with recorder:
+        for scale in (1.0, 2.0):
+            hhl.submit_solve(LinearSystem(masked.a_matrix,
+                                          scale * masked.b_prime),
+                             config, recorder.address)
+        records = recorder.records
+    assert len(records) == 2
+    assert records[0] == records[1]

@@ -1,10 +1,13 @@
 """Execution-service tests: framing, job semantics, isolation, and the
 honest-but-curious boundary."""
+import functools
 import json
 import math
 import socket
 import struct
 import threading
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,6 +147,136 @@ def test_noisy_pipeline_degrades_fidelity_qualitatively():
     assert 0.5 < f < 1.0
 
 
+# ---------------------------------------------------------------------------
+# the exact depolarizing channel (qsim.run_density)
+# ---------------------------------------------------------------------------
+
+def compiled_replica_text(fixture):
+    """The circuit `qhesolve solve --fixture <fixture> --key 1,0 --mode
+    replica` sends: legalized, every ry a budget-7 Clifford+T word."""
+    system = fixtures.FIXTURES[fixture]()
+    b_prime = system.b - system.a @ np.array([1.0, 0.0])
+    config = hhl.SolverConfig(mode="replica",
+                              theta_override=fixtures.REPLICA_THETA,
+                              star_center=hhl.EIGEN_QUBIT, rs_t_budget=7)
+    circuit, _ = hhl.compile_solver_circuit(
+        hhl.eigendecompose(system.a), b_prime / np.linalg.norm(b_prime), config)
+    return circ.emit_text(circuit)
+
+
+def rotated_probabilities(rho, basis, qubit):
+    rotation = circ.basis_change(basis, qubit)
+    return functools.reduce(qsim.apply_gate, rotation, rho).probabilities()
+
+
+def test_channel_z_expectation_exact():
+    circuit = circ.parse_text("qubits 1\nz q0\n")  # one gate that keeps |0>
+    for p in (0.0, 0.01, 0.1, 0.25, 0.5):
+        probs = qsim.run_density(circuit, p).probabilities()
+        assert abs(probs[0] - probs[1] - (1 - 4 * p / 3)) < 1e-12
+        assert abs(probs.sum() - 1.0) < 1e-12  # the channel keeps the trace
+
+
+def kraus_distribution(circuit, p, basis, qubit):
+    """rho -> sum_k K_k rho K_k^dag after every gate on each qubit it
+    touches, K = sqrt(1-p) I, sqrt(p/3) X, Y, Z; full 2^n matrices."""
+    n = circuit.n_qubits
+
+    def on(u, q):
+        return np.kron(np.kron(np.eye(2 ** q), u), np.eye(2 ** (n - q - 1)))
+
+    def gate_operator(gate):
+        if gate.kind != "cx":
+            return on(qsim.gate_matrix(gate), gate.qubit)
+        flip = on(qsim.GATE_MATRICES["x"], gate.target)
+        ones = on(np.diag([0.0, 1.0]), gate.control)
+        return np.eye(2 ** n) - ones + ones @ flip
+
+    rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    rho[0, 0] = 1.0
+    for gate in circuit.gates:
+        u = gate_operator(gate)
+        rho = u @ rho @ u.conj().T
+        for q in gate.qubits:
+            kraus = [math.sqrt(1 - p) * np.eye(2 ** n)]
+            kraus += [math.sqrt(p / 3) * on(qsim.GATE_MATRICES[k], q)
+                      for k in "xyz"]
+            rho = sum(k @ rho @ k.conj().T for k in kraus)
+    for gate in circ.basis_change(basis, qubit):
+        u = gate_operator(gate)
+        rho = u @ rho @ u.conj().T
+    return np.real(np.diag(rho))
+
+
+@pytest.mark.parametrize("fixture", ["eq7", "eq8"])
+def test_channel_matches_kraus_sum(fixture):
+    circuit = circ.parse_text(compiled_replica_text(fixture))
+    for p in (0.02, 0.3):
+        rho = qsim.run_density(circuit, p)
+        for basis in "ZXY":
+            want = kraus_distribution(circuit, p, basis, 0)
+            got = rotated_probabilities(rho, basis, 0)
+            assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_channel_agrees_with_trajectories():
+    # the mean of exact per-trajectory probabilities under
+    # apply_depolarizing estimates the channel's diagonal without bias
+    circuit = circ.parse_text(replica_circuit_text())
+    p, trajectories = 0.1, 2000
+    rng = np.random.default_rng(11)
+    samples = []
+    for _ in range(trajectories):
+        state = qsim.StateVector.zero(circuit.n_qubits)
+        for gate in circuit.gates:
+            state = qsim.apply_gate(state, gate)
+            for q in gate.qubits:
+                state = apply_depolarizing(state, p, q, rng)
+        samples.append(state.probabilities())
+    samples = np.array(samples)
+    mean = samples.mean(axis=0)
+    sigma = samples.std(axis=0, ddof=1) / math.sqrt(trajectories)
+    exact = qsim.run_density(circuit, p).probabilities()
+    assert np.all(np.abs(mean - exact) <= 5 * sigma + 1e-12)
+
+
+def test_replica_fidelity_falls_with_noise():
+    circuit = circ.parse_text(replica_circuit_text())
+    ideal = np.array([1.0, 1.0]) / math.sqrt(2)
+    fidelities = []
+    for p in (0.0, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5):
+        rho = qsim.run_density(circuit, p)
+        e = {}
+        for basis in "ZXY":
+            # state qubit 0 given ancilla qubit 2 reads 1
+            kept = rotated_probabilities(rho, basis, 0).reshape(2, 2, 2)[..., 1]
+            e[basis] = (kept[0].sum() - kept[1].sum()) / kept.sum()
+        fidelities.append(qsim.fidelity_from_expectations(
+            qsim.PauliExpectations(z=e["Z"], x=e["X"], y=e["Y"]), ideal))
+    assert fidelities[0] == pytest.approx(1.0, abs=1e-12)
+    assert all(a > b for a, b in zip(fidelities, fidelities[1:]))
+
+
+def test_vanishing_noise_samples_like_no_noise():
+    # the noisy path draws from the same child RNGs with the same call
+    for seed in (0, 5, 77):
+        job = Job(id="j", circuit=replica_circuit_text(), mode="sampled",
+                  shots=8192, seed=seed, postselect=(2, 1),
+                  bases=(("Z", 0), ("X", 0), ("Y", 0)))
+        noisy = replace(job, noise_p=1e-12)
+        assert execute_job(noisy.to_payload()) == execute_job(job.to_payload())
+
+
+def test_full_noisy_job_returns_within_a_second(server):
+    job = Job(id="noisy", circuit=compiled_replica_text("eq7"),
+              mode="sampled", shots=8192, seed=3, postselect=(2, 1),
+              bases=(("Z", 0), ("X", 0), ("Y", 0)), noise_p=0.02)
+    start = time.perf_counter()
+    result = submit(server.address, job, timeout=1.0)
+    assert time.perf_counter() - start < 1.0
+    assert [item["raw_shots"] for item in result["results"]] == [8192] * 3
+
+
 def test_noise_rejected_in_analytic_mode():
     payload = Job(id="j", circuit=BELL, noise_p=0.1).to_payload()
     assert execute_job(payload)["error"] == "bad_request"
@@ -235,6 +368,14 @@ def test_concurrent_jobs_match_serial(server):
     for t in threads:
         t.join()
     assert results == serial
+
+
+def test_server_start_and_shutdown_are_quick():
+    for _ in range(3):
+        start = time.perf_counter()
+        with qserve.ExecutionServer() as srv:
+            submit(srv.address, Job(id="up", circuit=BELL))
+        assert time.perf_counter() - start < 0.1
 
 
 def test_server_never_imports_key_material():
