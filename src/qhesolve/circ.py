@@ -189,6 +189,14 @@ class Circuit:
                 seen.append(g.angle)
         return seen
 
+    def __eq__(self, other):
+        if not isinstance(other, Circuit):
+            return NotImplemented
+        return (self.n_qubits == other.n_qubits
+                and self.gates == other.gates
+                and self.roles == other.roles
+                and self.measures == other.measures)
+
 
 @dataclass(frozen=True)
 class Topology:

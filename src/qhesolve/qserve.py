@@ -10,10 +10,10 @@ through the same request handling, encoded and decoded as on the wire.
 
 Request fields: id, circuit (text format), mode ("analytic"|"sampled"),
 shots/seed (sampled), postselect {qubit, outcome}, bases [{basis, qubit}],
-noise_p (optional, sampled only: an exact depolarizing channel after every
-gate, evolved as one density matrix per job). Responses carry either
-amplitudes + success_probability or per-basis counts with raw/kept shot
-totals, or error + detail.
+noise_p (optional, sampled only, at most MAX_NOISY_QUBITS qubits: an exact
+depolarizing channel after every gate, evolved as one density matrix per
+job). Responses carry either amplitudes + success_probability or per-basis
+counts with raw/kept shot totals, or error + detail.
 """
 from __future__ import annotations
 
@@ -37,6 +37,8 @@ log = logging.getLogger(__name__)
 FRAME_HEADER = struct.Struct(">I")
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 DEFAULT_TIMEOUT = 30.0
+# a noisy job holds a 4^n-entry density matrix: 16 MB at 10 qubits
+MAX_NOISY_QUBITS = 10
 
 _PAULI_KINDS = ("x", "y", "z")
 
@@ -131,6 +133,9 @@ def execute_job(payload: dict) -> dict:
         noise_p = math.nan  # fails the range check below
     if not 0.0 <= noise_p <= 0.5:
         return fail("bad_request", "noise_p must be a number in [0, 0.5]")
+    if noise_p and circuit.n_qubits > MAX_NOISY_QUBITS:
+        return fail("bad_request", "a noisy job takes at most "
+                    f"{MAX_NOISY_QUBITS} qubits")
 
     try:
         if mode == "analytic":

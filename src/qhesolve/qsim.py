@@ -175,10 +175,14 @@ def _apply_single(tensor: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:
 
 
 def _apply_cnot(tensor: np.ndarray, control: int, target: int) -> np.ndarray:
-    ones = [slice(None)] * tensor.ndim
-    ones[control] = 1  # the control-1 half: later axes shift down by one
+    def branch(cv, tv):
+        idx = [slice(None)] * tensor.ndim
+        idx[control], idx[target] = cv, tv
+        return tuple(idx)
+
     out = tensor.copy()
-    out[tuple(ones)] = np.flip(tensor[tuple(ones)], target - (target > control))
+    out[branch(1, 0)] = tensor[branch(1, 1)]
+    out[branch(1, 1)] = tensor[branch(1, 0)]
     return out
 
 

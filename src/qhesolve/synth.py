@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import circ
-from .qsim import GATE_MATRICES, bloch_point, is_unitary, ry_matrix
+from .qsim import GATE_MATRICES, is_unitary, ry_matrix
 
 MAX_T_BUDGET = 8
 _DEDUP_DECIMALS = 9
@@ -99,7 +99,10 @@ def _canonical_key(u: np.ndarray) -> tuple:
 
 
 def _state_key(v: np.ndarray) -> tuple:
-    return tuple(np.round(bloch_point(v), _DEDUP_DECIMALS))
+    cross = np.conj(v[0]) * v[1]
+    point = (2.0 * cross.real, 2.0 * cross.imag,
+             abs(v[0]) ** 2 - abs(v[1]) ** 2)
+    return tuple(np.round(point, _DEDUP_DECIMALS))
 
 
 def _word_order(word: tuple[str, ...]) -> tuple:
@@ -196,7 +199,11 @@ def enumerate_states(t_budget: int) -> CoverageSet:
                     seen[key] = new
                     grown.append(new)
         layer = grown
-    points = [bloch_point(vec) for vec in seen.values()]
+    points = []
+    for vec in seen.values():
+        cross = np.conj(vec[0]) * vec[1]
+        points.append((float(2.0 * cross.real), float(2.0 * cross.imag),
+                       float(abs(vec[0]) ** 2 - abs(vec[1]) ** 2)))
     return CoverageSet(t_budget, tuple(sorted(points)))
 
 
@@ -260,7 +267,9 @@ def tied_maximizers(target: np.ndarray, t_budget: int,
 def closest_state(target_state: np.ndarray,
                   coverage: CoverageSet) -> tuple[float, float, float]:
     """The coverage point nearest (in Bloch distance) to a target state."""
-    want = np.array(bloch_point(target_state))
+    cross = np.conj(target_state[0]) * target_state[1]
+    want = np.array([2.0 * cross.real, 2.0 * cross.imag,
+                     abs(target_state[0]) ** 2 - abs(target_state[1]) ** 2])
     pts = np.asarray(coverage.points)
     if pts.size == 0:
         raise SynthesisError("empty coverage set")

@@ -282,6 +282,35 @@ def test_noise_rejected_in_analytic_mode():
     assert execute_job(payload)["error"] == "bad_request"
 
 
+def test_wide_noisy_job_is_refused_before_allocating(monkeypatch, server):
+    reached = []
+
+    def refuse(circuit, noise_p):
+        reached.append(circuit.n_qubits)
+        raise qsim.SimulationError("run_density reached")
+
+    # the server thread shares this module, so the patch covers TCP too
+    monkeypatch.setattr(qsim, "run_density", refuse)
+
+    def noisy(n):
+        return Job(id=f"w{n}", circuit=f"qubits {n}\nh q0\n", mode="sampled",
+                   shots=1, seed=1, noise_p=0.01).to_payload()
+
+    for n in (11, 15):
+        direct = execute_job(noisy(n))
+        assert (direct["error"], direct["detail"]) == (
+            "bad_request", "a noisy job takes at most 10 qubits")
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            qserve.send_frame(sock, noisy(n))
+            assert json.loads(qserve.recv_frame(sock)) == direct
+            qserve.send_frame(sock, Job(id="after", circuit=BELL).to_payload())
+            assert json.loads(qserve.recv_frame(sock))["id"] == "after"
+    assert reached == []
+    # 10 qubits is within the limit and reaches the density matrix
+    assert execute_job(noisy(10))["error"] == "execution_error"
+    assert reached == [10]
+
+
 # ---------------------------------------------------------------------------
 # wire protocol
 # ---------------------------------------------------------------------------
