@@ -40,7 +40,7 @@ class SolverError(ValueError):
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """A x = b with a real symmetric nonsingular 2x2 matrix."""
+    """A x = b with a real symmetric positive-definite 2x2 matrix."""
 
     a: np.ndarray
     b: np.ndarray
@@ -52,8 +52,11 @@ class LinearSystem:
             raise SolverError("expected a 2x2 matrix and a 2-vector")
         if abs(a[0, 1] - a[1, 0]) > 1e-12:
             raise SolverError("matrix must be symmetric")
-        if abs(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]) <= 1e-9:
+        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+        if abs(det) <= 1e-9:
             raise SolverError("matrix is singular")
+        if a[0, 0] <= 0 or det <= 0:
+            raise SolverError("matrix must be positive definite")
         a.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "a", a)

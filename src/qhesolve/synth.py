@@ -1,32 +1,38 @@
 """Single-qubit Clifford+T synthesis by exhaustive canonical enumeration.
 
 Every Clifford+T unitary with minimal T-count k factors as
-C0 . T . C1 . T ... T . Ck over single-qubit Cliffords, so a layered
-breadth-first expansion (seed the 24 Cliffords, then repeatedly left-multiply
-by T and close under Cliffords, deduplicating modulo global phase) visits the
-exact set of unitaries reachable within a T budget. The same walk over state
-vectors yields the set of Bloch points reachable from |0>. Enumeration is
-deterministic and replaces sampling: results are the true optima, not
-estimates.
-
-Budgets are capped at 8; the cumulative canonical sets are memoized.
+C0 . T . C1 . T ... T . Ck over single-qubit Cliffords. One table holds
+every such unitary up to global phase, grown one T-layer at a time and only
+as far as the largest budget asked for (at most 8). Each unitary is keyed
+exactly by its SO(3) image, whose entries are (a + b sqrt2) / sqrt2^k with
+small integers a, b; its T-count is the least such k (Kliuchnikov, Maslov &
+Mosca, arXiv:1206.5236; Gosset et al., arXiv:1308.4134). Layer k+1 is C.T.V
+over the layer-k classes V for which T.V does not reduce, keeping for each
+new class the least (length, word). A search is one vectorized pass over the
+table, so results are the true optima, not estimates. The same walk over
+state vectors yields the set of Bloch points reachable from |0>.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import circ
-from .qsim import GATE_MATRICES, is_unitary, ry_matrix
+from .qsim import GATE_MATRICES, bloch_point, is_unitary, ry_matrix
 
 MAX_T_BUDGET = 8
 _DEDUP_DECIMALS = 9
 
 CLIFFORD_LETTERS = ("h", "s", "sdg", "x", "y", "z")
 T_MATRIX = GATE_MATRICES["t"]
+# Table words take one byte per gate, a..g in the order h < s < sdg < t < x
+# < y < z, so byte-string order is the order of the gate tuples.
+_LETTERS = ("h", "s", "sdg", "t", "x", "y", "z")
+_PAULIS = np.array([GATE_MATRICES[g] for g in ("x", "y", "z")])
 
 
 class SynthesisError(ValueError):
@@ -49,10 +55,8 @@ class CliffordTSequence:
         return sum(1 for g in self.gates if g in ("t", "tdg"))
 
     def matrix(self) -> np.ndarray:
-        u = np.eye(2, dtype=complex)
-        for g in self.gates:
-            u = GATE_MATRICES[g] @ u
-        return u
+        return functools.reduce(lambda u, g: GATE_MATRICES[g] @ u, self.gates,
+                                np.eye(2, dtype=complex))
 
     def to_circuit(self) -> circ.Circuit:
         return circ.Circuit(1, [circ.Gate(g, (0,)) for g in self.gates])
@@ -88,43 +92,26 @@ def similarity(u: np.ndarray, v: np.ndarray) -> float:
     return abs(np.trace(u.conj().T @ v)) / 2.0
 
 
-def _canonical_key(u: np.ndarray) -> tuple:
-    # Rotate the first non-negligible entry (row-major) to be real positive,
-    # then round; global phase is unobservable.
-    flat = u.reshape(-1)
-    idx = int(np.argmax(np.abs(flat) > 1e-7))
-    phase = flat[idx] / abs(flat[idx])
-    canonical = u * np.conj(phase)
-    return tuple(np.round(canonical.reshape(-1).view(float), _DEDUP_DECIMALS))
+def _clifford_image(u: np.ndarray) -> np.ndarray:
+    """The SO(3) image of a Clifford: a signed permutation, held exactly."""
+    image = np.einsum("iab,bc,jcd,da->ij", _PAULIS, u, _PAULIS, u.conj().T)
+    return np.rint(image.real / 2.0).astype(np.int8)
 
 
 def _state_key(v: np.ndarray) -> tuple:
-    cross = np.conj(v[0]) * v[1]
-    point = (2.0 * cross.real, 2.0 * cross.imag,
-             abs(v[0]) ** 2 - abs(v[1]) ** 2)
-    return tuple(np.round(point, _DEDUP_DECIMALS))
-
-
-def _word_order(word: tuple[str, ...]) -> tuple:
-    return (len(word), word)
+    return tuple(np.round(bloch_point(v), _DEDUP_DECIMALS))
 
 
 @functools.lru_cache(maxsize=1)
 def clifford_words() -> tuple[tuple[str, ...], ...]:
     """The 24 single-qubit Cliffords as shortest (then lexicographic) words."""
-    found = {_canonical_key(np.eye(2, dtype=complex)): ()}
-    frontier = [()]
-    while frontier:
-        grown = []
-        for word in sorted(frontier, key=_word_order):
-            base = CliffordTSequence(word).matrix()
-            for letter in CLIFFORD_LETTERS:
-                key = _canonical_key(GATE_MATRICES[letter] @ base)
-                if key not in found:
-                    found[key] = word + (letter,)
-                    grown.append(word + (letter,))
-        frontier = grown
-    return tuple(sorted(found.values(), key=_word_order))
+    found: dict[bytes, tuple[str, ...]] = {}
+    for length in itertools.count():
+        for word in itertools.product(CLIFFORD_LETTERS, repeat=length):
+            image = _clifford_image(CliffordTSequence(word).matrix())
+            found.setdefault(image.tobytes(), word)
+        if len(found) == 24:
+            return tuple(found.values())
 
 
 @dataclass(frozen=True)
@@ -134,41 +121,78 @@ class _Entry:
     t_count: int
 
 
+@dataclass(frozen=True, eq=False)
+class UnitaryTable:
+    """Canonical Clifford+T unitaries in (T-count, length, word) order.
+
+    Row i has the (2, 2) matrix of its word, its T-count k, its word in one
+    byte per gate, and its exact SO(3) image (keys[i, 0] + keys[i, 1] sqrt2)
+    / sqrt2^k, where k is the least exponent that keeps a and b integers.
+    """
+
+    matrices: np.ndarray
+    t_counts: np.ndarray
+    words: np.ndarray
+    keys: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t_counts)
+
+    def __getitem__(self, i: int) -> _Entry:
+        word = tuple(_LETTERS[c - ord("a")] for c in self.words[i])
+        return _Entry(word, self.matrices[i], int(self.t_counts[i]))
+
+
+def _next_layer(layer: UnitaryTable, cliffords: UnitaryTable) -> UnitaryTable:
+    """The classes one T above `layer`: C.T.V, least (length, word) each."""
+    a, b = layer.keys[:, 0], layer.keys[:, 1]
+    # T's image has rows (M0 - M1, M0 + M1, sqrt2 M2) / sqrt2, and
+    # sqrt2 (a + b sqrt2) = 2b + a sqrt2.
+    after_t = np.stack([np.stack([a[:, 0] - a[:, 1], a[:, 0] + a[:, 1], 2 * b[:, 2]], 1),
+                        np.stack([b[:, 0] - b[:, 1], b[:, 0] + b[:, 1], a[:, 2]], 1)], 1)
+    # If every a is even, T.V divides by sqrt2: a class of a lower layer.
+    parents = np.flatnonzero((after_t[:, 0] % 2).any(axis=(1, 2)))
+    keys = np.matmul(cliffords.keys[None, :, None, 0], after_t[parents, None])
+    keys = keys.reshape(-1, 18)
+    t_code = bytes([ord("a") + _LETTERS.index("t")])
+    words = np.char.add(np.char.add(layer.words[parents], t_code)[:, None],
+                        cliffords.words).reshape(-1)
+    order = np.lexsort((words, np.char.str_len(words)))
+    _, first = np.unique(keys[order].view(np.dtype((np.void, 18))).ravel(),
+                         return_index=True)
+    chosen = order[np.sort(first)]
+    parent, clifford = np.divmod(chosen, len(cliffords))
+    mats = cliffords.matrices[clifford] @ (T_MATRIX @ layer.matrices[parents[parent]])
+    return UnitaryTable(mats, np.full(len(chosen), layer.t_counts[0] + 1),
+                        words[chosen], keys[chosen].reshape(-1, 2, 3, 3))
+
+
 @functools.lru_cache(maxsize=MAX_T_BUDGET + 1)
-def enumerate_unitaries(t_budget: int) -> tuple[_Entry, ...]:
+def _layer(t_count: int) -> UnitaryTable:
+    """The classes of minimal T-count `t_count`."""
+    if t_count:
+        return _next_layer(_layer(t_count - 1), _layer(0))
+    words = clifford_words()
+    mats = np.array([CliffordTSequence(w).matrix() for w in words])
+    keys = np.zeros((len(words), 2, 3, 3), dtype=np.int8)
+    keys[:, 0] = [_clifford_image(m) for m in mats]
+    codes = [bytes(ord("a") + _LETTERS.index(g) for g in w) for w in words]
+    return UnitaryTable(mats, np.zeros(len(words), dtype=int),
+                        np.array(codes, dtype="S"), keys)
+
+
+@functools.lru_cache(maxsize=MAX_T_BUDGET + 1)
+def enumerate_unitaries(t_budget: int) -> UnitaryTable:
     """All canonical Clifford+T unitaries with minimal T-count <= t_budget.
 
-    Each carries the first word found under the deterministic expansion
-    order (shortest Clifford words, ties broken lexicographically).
+    Each carries the least word (shortest, then lexicographic) among those
+    the layered expansion reaches.
     """
     if t_budget < 0 or t_budget > MAX_T_BUDGET:
         raise SynthesisError(f"t budget must be within 0..{MAX_T_BUDGET}")
-    words = clifford_words()
-    mats = [CliffordTSequence(w).matrix() for w in words]
-
-    best: dict[tuple, _Entry] = {}
-    layer: dict[tuple, _Entry] = {}
-    for word, mat in zip(words, mats):
-        key = _canonical_key(mat)
-        entry = _Entry(word, mat, 0)
-        if key not in best or _word_order(word) < _word_order(best[key].word):
-            best[key] = entry
-    layer = dict(best)
-    for t_count in range(1, t_budget + 1):
-        grown: dict[tuple, _Entry] = {}
-        for _, entry in sorted(layer.items()):
-            after_t = T_MATRIX @ entry.matrix
-            word_t = entry.word + ("t",)
-            for cword, cmat in zip(words, mats):
-                key = _canonical_key(cmat @ after_t)
-                if key in best:
-                    continue
-                word = word_t + cword
-                if key not in grown or _word_order(word) < _word_order(grown[key].word):
-                    grown[key] = _Entry(word, cmat @ after_t, t_count)
-        best.update(grown)
-        layer = grown
-    return tuple(best.values())
+    layers = [_layer(k) for k in range(t_budget + 1)]
+    return UnitaryTable(*(np.concatenate([getattr(layer, f.name) for layer in layers])
+                          for f in fields(UnitaryTable)))
 
 
 @functools.lru_cache(maxsize=MAX_T_BUDGET + 1)
@@ -178,20 +202,12 @@ def enumerate_states(t_budget: int) -> CoverageSet:
         raise SynthesisError(f"t budget must be within 0..{MAX_T_BUDGET}")
     words = clifford_words()
     mats = [CliffordTSequence(w).matrix() for w in words]
-    zero = np.array([1.0, 0.0], dtype=complex)
-
     seen: dict[tuple, np.ndarray] = {}
-    layer: list[np.ndarray] = []
-    for mat in mats:
-        vec = mat @ zero
-        key = _state_key(vec)
-        if key not in seen:
-            seen[key] = vec
-            layer.append(vec)
-    for _ in range(t_budget):
+    layer = [np.array([1.0, 0.0], dtype=complex)]
+    for t_count in range(t_budget + 1):
         grown = []
         for vec in layer:
-            after_t = T_MATRIX @ vec
+            after_t = T_MATRIX @ vec if t_count else vec
             for mat in mats:
                 new = mat @ after_t
                 key = _state_key(new)
@@ -199,40 +215,18 @@ def enumerate_states(t_budget: int) -> CoverageSet:
                     seen[key] = new
                     grown.append(new)
         layer = grown
-    points = []
-    for vec in seen.values():
-        cross = np.conj(vec[0]) * vec[1]
-        points.append((float(2.0 * cross.real), float(2.0 * cross.imag),
-                       float(abs(vec[0]) ** 2 - abs(vec[1]) ** 2)))
-    return CoverageSet(t_budget, tuple(sorted(points)))
+    return CoverageSet(t_budget, tuple(sorted(map(bloch_point, seen.values()))))
 
 
 def approximate_unitary(target: np.ndarray, t_budget: int) -> SynthResult:
     """Best Clifford+T approximation of `target` within the T budget.
 
-    Maximizes the similarity over the enumerated canonical forms; ties are
-    broken by lower T-count, then shorter sequence, then lexicographic gate
-    order, so the result is deterministic.
+    Maximizes the similarity over the enumerated canonical forms; ties
+    (within 1e-12) are broken by lower T-count, then shorter sequence, then
+    lexicographic gate order, so the result is deterministic.
     """
-    target = np.asarray(target, dtype=complex)
-    if not is_unitary(target):
-        raise SynthesisError("target must be unitary")
-    entries = enumerate_unitaries(t_budget)
-    target_dag = target.conj().T
-    best_entry = None
-    best_sim = -1.0
-    for entry in entries:
-        sim = abs(np.trace(target_dag @ entry.matrix)) / 2.0
-        if sim > best_sim + 1e-12:
-            best_sim, best_entry = sim, entry
-        elif sim > best_sim - 1e-12:
-            if ((entry.t_count, len(entry.word), entry.word)
-                    < (best_entry.t_count, len(best_entry.word), best_entry.word)):
-                best_entry = entry
-                best_sim = max(best_sim, sim)
-    sequence = CliffordTSequence(best_entry.word)
-    return SynthResult(sequence=sequence, unitary=best_entry.matrix,
-                       similarity=float(best_sim), target=target)
+    tied = tied_maximizers(target, t_budget, tol=1e-12)
+    return replace(tied[0], similarity=max(r.similarity for r in tied))
 
 
 def substitute_clifford_t(circuit: circ.Circuit, t_budget: int
@@ -249,27 +243,27 @@ def substitute_clifford_t(circuit: circ.Circuit, t_budget: int
 
 def tied_maximizers(target: np.ndarray, t_budget: int,
                     tol: float = 1e-9) -> list[SynthResult]:
-    """Every canonical form whose similarity ties the budget's maximum."""
+    """Every canonical form whose similarity ties the budget's maximum, in
+    (T-count, length, word) order."""
     target = np.asarray(target, dtype=complex)
     if not is_unitary(target):
         raise SynthesisError("target must be unitary")
-    entries = enumerate_unitaries(t_budget)
+    table = enumerate_unitaries(t_budget)
     target_dag = target.conj().T
-    sims = [abs(np.trace(target_dag @ e.matrix)) / 2.0 for e in entries]
-    top = max(sims)
-    tied = [SynthResult(CliffordTSequence(e.word), e.matrix, float(s), target)
-            for e, s in zip(entries, sims) if s >= top - tol]
-    tied.sort(key=lambda r: (r.sequence.t_count, len(r.sequence.gates),
-                             r.sequence.gates))
-    return tied
+    sims = np.abs(np.einsum("ij,nji->n", target_dag, table.matrices)) / 2.0
+    # einsum rounds differently: widen, then decide on the reported expression
+    near = np.flatnonzero(sims >= sims.max() - tol - 1e-12)
+    exact = [abs(np.trace(target_dag @ table.matrices[i])) / 2.0 for i in near]
+    top = max(exact)
+    return [SynthResult(CliffordTSequence(table[i].word), table.matrices[i],
+                        float(s), target)
+            for i, s in zip(near, exact) if s >= top - tol]
 
 
 def closest_state(target_state: np.ndarray,
                   coverage: CoverageSet) -> tuple[float, float, float]:
     """The coverage point nearest (in Bloch distance) to a target state."""
-    cross = np.conj(target_state[0]) * target_state[1]
-    want = np.array([2.0 * cross.real, 2.0 * cross.imag,
-                     abs(target_state[0]) ** 2 - abs(target_state[1]) ** 2])
+    want = np.array(bloch_point(target_state))
     pts = np.asarray(coverage.points)
     if pts.size == 0:
         raise SynthesisError("empty coverage set")

@@ -244,6 +244,15 @@ def test_values_starting_with_minus_parse_in_both_forms(capsys, values):
     assert spaced == joined
 
 
+@pytest.mark.parametrize("matrix", ["-1,0.2,0.2,-0.8", "1,0.2,0.2,-0.8"])
+def test_matrix_that_is_not_positive_definite_is_refused(capsys, matrix):
+    # the solution's sign is fixed by assuming A is positive definite
+    status, out, err = run_cli(capsys, ["solve", f"--matrix={matrix}",
+                                        "--rhs=-.5,-1", "--key", "0,1"])
+    assert (status, out) == (1, "")
+    assert "positive definite" in err
+
+
 def test_solve_and_simulate_open_no_socket(capsys, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise OSError("no sockets in this test")

@@ -311,6 +311,34 @@ def test_wide_noisy_job_is_refused_before_allocating(monkeypatch, server):
     assert reached == [10]
 
 
+def test_wide_noiseless_job_is_refused_before_allocating(monkeypatch, server):
+    reached = []
+    run_statevector = qsim.run_statevector
+
+    def refuse_wide(circuit, *args):
+        if circuit.n_qubits > 10:
+            reached.append(circuit.n_qubits)
+            raise MemoryError("a wide statevector was allocated")
+        return run_statevector(circuit, *args)
+
+    # the server thread shares this module, so the patch covers TCP too
+    monkeypatch.setattr(qsim, "run_statevector", refuse_wide)
+    for n in (11, 30):
+        for job in (Job(id=f"a{n}", circuit=f"qubits {n}\nh q0\n"),
+                    Job(id=f"s{n}", circuit=f"qubits {n}\nh q0\n",
+                        mode="sampled", shots=1, seed=1)):
+            direct = execute_job(job.to_payload())
+            assert (direct["error"], direct["detail"]) == (
+                "bad_request", "a job takes at most 10 qubits")
+            with socket.create_connection(server.address, timeout=5.0) as sock:
+                qserve.send_frame(sock, job.to_payload())
+                assert json.loads(qserve.recv_frame(sock)) == direct
+                qserve.send_frame(sock, Job(id="after", circuit=BELL).to_payload())
+                after = json.loads(qserve.recv_frame(sock))
+                assert after["id"] == "after" and "error" not in after
+    assert reached == []
+
+
 # ---------------------------------------------------------------------------
 # wire protocol
 # ---------------------------------------------------------------------------

@@ -4,7 +4,11 @@ The enumeration is validated two independent ways: budget-0 states against a
 raw Clifford closure computed right here with plain matrices, and random
 bounded-T words that must always hit an enumerated canonical form.
 """
+import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +28,17 @@ UNITARY_COUNTS = [24, 96, 240, 528, 1104, 2256, 4560, 9168]
 
 # Exhaustive budget-7 optimum for the bundled replica half-angle (frozen).
 BEST_SIM_HALF_REPLICA = 0.9967864880102395
+
+# An ry grid plus the angles the fixture solves synthesize (+-pi/2 in both
+# roundings, +-28.67 deg) and the eigenvalue-ratio formula's half-angle.
+DIGEST_ANGLES = ([float(a) for a in np.linspace(-math.pi, math.pi, 25)]
+                 + [-math.pi / 2, 1.5707963267948966, -1.5707963267948968,
+                    math.radians(-28.67), -math.radians(-28.67),
+                    -math.acos(0.4)])
+# sha256 of the chosen words and 12-digit similarities over DIGEST_ANGLES at
+# budgets 0..8, frozen from the float-keyed per-budget enumeration that the
+# exact table replaced.
+CHOICES_DIGEST = "d1d18acdf3733fad11178185641660ba7ce3196ecb4ba94cac3877b681b71079"
 
 
 def word_matrix(word):
@@ -128,6 +143,58 @@ def test_state_points_are_unit_norm():
 def test_unitary_counts():
     for budget in range(8):
         assert len(enumerate_unitaries(budget)) == UNITARY_COUNTS[budget]
+
+
+def test_unitary_census_through_budget_eight():
+    want = [24] + [24 * (3 * 2 ** k - 2) for k in range(1, 9)]
+    assert [len(enumerate_unitaries(k)) for k in range(9)] == want
+
+
+def test_t_count_is_the_sde_of_the_exact_so3_image():
+    table = enumerate_unitaries(8)
+    a = table.keys[:, 0].astype(int)
+    b = table.keys[:, 1].astype(int)
+    k = table.t_counts
+    # the key is the Bloch rotation R_ij = Tr(P_i U P_j U^dag) / 2 of the matrix
+    paulis = np.array([GATE_MATRICES[g] for g in ("x", "y", "z")])
+    u = table.matrices
+    images = np.einsum("iab,nbc,jcd,nad->nij", paulis, u, paulis,
+                       u.conj()).real / 2
+    exact = (a + b * math.sqrt(2)) / math.sqrt(2) ** k[:, None, None]
+    assert np.allclose(exact, images, atol=1e-9)
+    # (a + b sqrt2) / sqrt2^k = (b + (a/2) sqrt2) / sqrt2^(k-1) when a is even
+    sde = k.copy()
+    for _ in range(9):
+        even = ((a % 2 == 0).all(axis=(1, 2)) & (sde > 0))[:, None, None]
+        a, b = np.where(even, b, a), np.where(even, a // 2, b)
+        sde = sde - even[:, 0, 0]
+    assert (sde == k).all()
+    keyed = np.concatenate([table.keys.reshape(len(table), -1),
+                            k[:, None].astype(np.int8)], axis=1)
+    assert len(np.unique(keyed, axis=0)) == len(table)
+
+
+def test_budget_seven_builds_no_eighth_layer_and_is_cached():
+    code = ("from qhesolve import synth\n"
+            "table = synth.enumerate_unitaries(7)\n"
+            "assert synth.enumerate_unitaries(7) is table\n"
+            "print(synth._layer.cache_info().currsize)\n")
+    src = os.path.dirname(os.path.dirname(synth.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "8\n"
+
+
+def test_choices_match_the_frozen_digest():
+    lines = []
+    for budget in range(9):
+        for angle in DIGEST_ANGLES:
+            result = approximate_unitary(ry_matrix(angle), budget)
+            lines.append(f"{budget} {angle!r} {' '.join(result.sequence.gates)}"
+                         f" {result.similarity:.12g}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CHOICES_DIGEST
 
 
 def test_budget_guard():
