@@ -189,14 +189,6 @@ class Circuit:
                 seen.append(g.angle)
         return seen
 
-    def __eq__(self, other):
-        if not isinstance(other, Circuit):
-            return NotImplemented
-        return (self.n_qubits == other.n_qubits
-                and self.gates == other.gates
-                and self.roles == other.roles
-                and self.measures == other.measures)
-
 
 @dataclass(frozen=True)
 class Topology:
@@ -231,8 +223,6 @@ def decompose_cry(theta: float, control: int, target: int) -> list[Gate]:
     control-1 branch to ry(theta); the composed unitary equals
     diag(I, Ry(theta)) in control block order.
     """
-    if control == target:
-        raise CircuitError("cx control and target must differ")
     half = theta / 2.0
     return [ry(half, target), cx(control, target),
             ry(-half, target), cx(control, target)]
@@ -240,8 +230,6 @@ def decompose_cry(theta: float, control: int, target: int) -> list[Gate]:
 
 def reverse_cnot(control: int, target: int) -> list[Gate]:
     """CNOT with flipped direction plus four Hadamards; equals the original."""
-    if control == target:
-        raise CircuitError("cx control and target must differ")
     return [h(control), h(target), cx(target, control), h(control), h(target)]
 
 

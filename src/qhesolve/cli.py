@@ -124,8 +124,7 @@ def _cmd_synth(args) -> int:
     ]
     sys.stdout.write("\n".join(lines) + "\n")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(circ.emit_text(result.sequence.to_circuit()))
+        _write_out(args.out, circ.emit_text(result.sequence.to_circuit()))
     return 0
 
 

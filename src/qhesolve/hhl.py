@@ -177,7 +177,7 @@ def classical_solve(system: LinearSystem) -> np.ndarray:
 def eigendecompose(a: np.ndarray) -> EigenDecomp:
     """Closed-form eigendecomposition of a symmetric 2x2 matrix.
 
-    Eigenvalues are ordered descending (by magnitude if signs mix); each
+    Eigenvalues are ordered by descending magnitude, stably; each
     eigenvector's first nonzero component is positive, so r is deterministic.
     For matrices of the form [[p, q], [q, p]] r is the Hadamard matrix.
     """
@@ -196,8 +196,6 @@ def eigendecompose(a: np.ndarray) -> EigenDecomp:
         v1 = v1 / np.linalg.norm(v1)
         vecs = [v1, np.array([-v1[1], v1[0]])]
     order = sorted((0, 1), key=lambda i: -abs(lam[i]))
-    if lam[0] > 0 and lam[1] > 0:
-        order = sorted((0, 1), key=lambda i: -lam[i])
     lam = (float(lam[order[0]]), float(lam[order[1]]))
     vecs = [vecs[order[0]], vecs[order[1]]]
     rows = []
@@ -409,8 +407,8 @@ def build_general_circuit(system: LinearSystem,
     """
     m = config.eigen_register_bits
     n_qubits = 1 + m + 1
-    if n_qubits > 10:
-        raise SolverError("qubit budget exceeded (max 10)")
+    if n_qubits > qserve.MAX_QUBITS:
+        raise SolverError(f"qubit budget exceeded (max {qserve.MAX_QUBITS})")
     eig = eigendecompose(system.a)
     t0 = config.t0 if config.t0 is not None else choose_t0(eig, m)
     n1, n2 = _register_values(eig, m, t0)

@@ -12,8 +12,8 @@ Request fields: id, circuit (text format), mode ("analytic"|"sampled"),
 shots/seed (sampled), postselect {qubit, outcome}, bases [{basis, qubit}],
 noise_p (optional, sampled only: an exact depolarizing channel after every
 gate, evolved as one density matrix per job). A job takes at most
-MAX_QUBITS qubits. Responses carry either amplitudes + success_probability
-or per-basis counts with raw/kept shot totals, or error + detail.
+MAX_QUBITS qubits and MAX_SHOTS shots. Responses carry amplitudes +
+success_probability, per-basis counts with raw/kept totals, or error + detail.
 """
 from __future__ import annotations
 
@@ -40,6 +40,10 @@ DEFAULT_TIMEOUT = 30.0
 # checked before any allocation; a noisy job holds a 4^n-entry density
 # matrix: 16 MB at 10 qubits
 MAX_QUBITS = 10
+# rng.choice raises on 2**63 shots; at this cap a basis draws 8 MB of outcomes
+MAX_SHOTS = 1 << 20
+MAX_CONCURRENT_JOBS = 32
+JOB_LOG_CAP = 64
 
 _PAULI_KINDS = ("x", "y", "z")
 
@@ -128,6 +132,8 @@ def execute_job(payload: dict) -> dict:
             return fail("bad_request", "postselect needs qubit and outcome")
         if postselect[1] not in (0, 1):
             return fail("bad_request", "postselect outcome must be 0 or 1")
+        if not 0 <= postselect[0] < circuit.n_qubits:
+            return fail("bad_request", "postselect qubit outside the circuit")
     try:
         noise_p = float(payload.get("noise_p", 0.0))
     except (TypeError, ValueError):
@@ -157,8 +163,9 @@ def execute_job(payload: dict) -> dict:
             shots = payload.get("shots")
             seed = payload.get("seed")
             # type() is exact: JSON true is a bool, not a count
-            if type(shots) is not int or shots < 1:
-                return fail("bad_request", "sampled mode needs shots >= 1")
+            if type(shots) is not int or not 1 <= shots <= MAX_SHOTS:
+                return fail("bad_request",
+                            f"sampled mode needs 1 <= shots <= {MAX_SHOTS}")
             if type(seed) is not int or seed < 0:
                 return fail("bad_request",
                             "sampled mode needs an integer seed >= 0")
@@ -261,8 +268,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0
     timeout: float = DEFAULT_TIMEOUT
-    max_concurrent_jobs: int = 32
-    job_log_cap: int = 64
     record_payloads: bool = False  # raw request bytes, for protocol tests
 
 
@@ -300,7 +305,7 @@ class _TCPServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, config: ServerConfig):
         self.config = config
-        self.job_slots = threading.BoundedSemaphore(config.max_concurrent_jobs)
+        self.job_slots = threading.BoundedSemaphore(MAX_CONCURRENT_JOBS)
         self._records: list[bytes] = []
         self._records_lock = threading.Lock()
         # a byte on wake ends serve_until_stopped's select, which has no
@@ -325,7 +330,7 @@ class _TCPServer(socketserver.ThreadingTCPServer):
             return
         with self._records_lock:
             self._records.append(payload_bytes)
-            del self._records[:-self.config.job_log_cap]
+            del self._records[:-JOB_LOG_CAP]
 
     @property
     def records(self) -> list[bytes]:

@@ -310,8 +310,6 @@ def postselect(state: StateVector, qubit: int, outcome: int) -> tuple[StateVecto
 
 def postselect_counts(counts: Counts, qubit: int, outcome: int) -> Counts:
     """Keep only shots whose bit at `qubit` equals `outcome`."""
-    if not counts.table:
-        raise SimulationError("empty counts")
     _check_qubit(counts.n_qubits, qubit)
     table = {k: v for k, v in counts.table.items() if k[qubit] == str(outcome)}
     kept = sum(table.values())
@@ -322,8 +320,6 @@ def postselect_counts(counts: Counts, qubit: int, outcome: int) -> Counts:
 
 
 def _counts_expectation(counts: Counts, qubit: int) -> tuple[float, float, int]:
-    if not counts.table:
-        raise SimulationError("empty counts")
     _check_qubit(counts.n_qubits, qubit)
     total = counts.shots
     plus = sum(v for k, v in counts.table.items() if k[qubit] == "0")

@@ -9,8 +9,8 @@ small integers a, b; its T-count is the least such k (Kliuchnikov, Maslov &
 Mosca, arXiv:1206.5236; Gosset et al., arXiv:1308.4134). Layer k+1 is C.T.V
 over the layer-k classes V for which T.V does not reduce, keeping for each
 new class the least (length, word). A search is one vectorized pass over the
-table, so results are the true optima, not estimates. The same walk over
-state vectors yields the set of Bloch points reachable from |0>.
+table, so results are the true optima, not estimates. The third columns of
+the same keys give the set of Bloch points reachable from |0>.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from . import circ
 from .qsim import GATE_MATRICES, bloch_point, is_unitary, ry_matrix
 
 MAX_T_BUDGET = 8
-_DEDUP_DECIMALS = 9
 
 CLIFFORD_LETTERS = ("h", "s", "sdg", "x", "y", "z")
 T_MATRIX = GATE_MATRICES["t"]
@@ -96,10 +95,6 @@ def _clifford_image(u: np.ndarray) -> np.ndarray:
     """The SO(3) image of a Clifford: a signed permutation, held exactly."""
     image = np.einsum("iab,bc,jcd,da->ij", _PAULIS, u, _PAULIS, u.conj().T)
     return np.rint(image.real / 2.0).astype(np.int8)
-
-
-def _state_key(v: np.ndarray) -> tuple:
-    return tuple(np.round(bloch_point(v), _DEDUP_DECIMALS))
 
 
 @functools.lru_cache(maxsize=1)
@@ -197,25 +192,21 @@ def enumerate_unitaries(t_budget: int) -> UnitaryTable:
 
 @functools.lru_cache(maxsize=MAX_T_BUDGET + 1)
 def enumerate_states(t_budget: int) -> CoverageSet:
-    """Bloch points reachable from |0> within the T budget (exact set)."""
-    if t_budget < 0 or t_budget > MAX_T_BUDGET:
-        raise SynthesisError(f"t budget must be within 0..{MAX_T_BUDGET}")
-    words = clifford_words()
-    mats = [CliffordTSequence(w).matrix() for w in words]
-    seen: dict[tuple, np.ndarray] = {}
-    layer = [np.array([1.0, 0.0], dtype=complex)]
-    for t_count in range(t_budget + 1):
-        grown = []
-        for vec in layer:
-            after_t = T_MATRIX @ vec if t_count else vec
-            for mat in mats:
-                new = mat @ after_t
-                key = _state_key(new)
-                if key not in seen:
-                    seen[key] = new
-                    grown.append(new)
-        layer = grown
-    return CoverageSet(t_budget, tuple(sorted(map(bloch_point, seen.values()))))
+    """Bloch points reachable from |0> within the T budget (exact set).
+
+    U|0> has Bloch point R z, the third column of U's key. Each coordinate is
+    reduced to its least k, so equal values give bit-identical floats.
+    """
+    table = enumerate_unitaries(t_budget)
+    a, b = table.keys[..., 2].astype(np.int64).transpose(1, 0, 2)
+    k = np.repeat(table.t_counts[:, None], 3, axis=1)
+    for _ in range(t_budget):  # a even: (a, b, k) -> (b, a/2, k - 1)
+        even = (a % 2 == 0) & (k > 0)
+        a, b, k = np.where(even, b, a), np.where(even, a // 2, b), k - even
+    exact = np.unique(np.stack([a, b, k], axis=2).reshape(-1, 9), axis=0)
+    a, b, k = exact.reshape(-1, 3, 3).transpose(2, 0, 1)
+    points = (a + b * np.sqrt(2.0)) * 2.0 ** (-k / 2)  # exact for even k
+    return CoverageSet(t_budget, tuple(sorted(map(tuple, points.tolist()))))
 
 
 def approximate_unitary(target: np.ndarray, t_budget: int) -> SynthResult:
@@ -262,7 +253,8 @@ def tied_maximizers(target: np.ndarray, t_budget: int,
 
 def closest_state(target_state: np.ndarray,
                   coverage: CoverageSet) -> tuple[float, float, float]:
-    """The coverage point nearest (in Bloch distance) to a target state."""
+    """The coverage point nearest (in Bloch distance) to a target state; a
+    tie goes to the first in (x, y, z) order, as mirrored points are exact."""
     want = np.array(bloch_point(target_state))
     pts = np.asarray(coverage.points)
     if pts.size == 0:

@@ -456,6 +456,10 @@ MALFORMED = {
     "basis_qubit_infinite": {"bases": [{"basis": "Z", "qubit": math.inf}]},
     "postselect_qubit_infinite": {"postselect": {"qubit": math.inf,
                                                  "outcome": 1}},
+    "postselect_qubit_outside_circuit": {"postselect": {"qubit": 5,
+                                                        "outcome": 1}},
+    "shots_overflowing": {"shots": 10**30},
+    "shots_over_limit": {"shots": qserve.MAX_SHOTS + 1},
 }
 
 

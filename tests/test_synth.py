@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qhesolve import synth
-from qhesolve.qsim import GATE_MATRICES, ry_matrix
+from qhesolve.qsim import GATE_MATRICES, bloch_point, ry_matrix
 from qhesolve.synth import (CoverageSet, SynthesisError,
                             approximate_unitary, clifford_words,
                             enumerate_states, enumerate_unitaries,
@@ -138,6 +138,43 @@ def test_state_counts_and_nesting():
 def test_state_points_are_unit_norm():
     pts = np.asarray(enumerate_states(4).points)
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-9)
+
+
+def test_states_are_the_table_images_of_zero():
+    zero = np.array([1, 0], dtype=complex)
+    for budget in range(synth.MAX_T_BUDGET + 1):
+        pts = np.asarray(enumerate_states(budget).points)
+        reached = np.array([bloch_point(m @ zero)
+                            for m in enumerate_unitaries(budget).matrices])
+        nearest_sq = np.full(len(pts), np.inf)
+        for chunk in np.array_split(reached, len(reached) // 512 + 1):
+            gap_sq = sum((chunk[:, None, i] - pts[None, :, i]) ** 2
+                         for i in range(3))
+            assert gap_sq.min(axis=1).max() < 1e-24
+            nearest_sq = np.minimum(nearest_sq, gap_sq.min(axis=0))
+        assert nearest_sq.max() < 1e-24
+    assert len(enumerate_states(8).points) == 3066
+
+
+def test_bloch_csv_rows_follow_their_printed_values():
+    for budget in range(synth.MAX_T_BUDGET + 1):
+        csv = export_bloch_csv(enumerate_states(budget))
+        rows = [tuple(float(v) for v in line.split(",")[:3])
+                for line in csv.splitlines()[1:]]
+        assert rows == sorted(rows)
+        assert not any(0 < abs(v) < 1e-12 for row in rows for v in row)
+
+
+def test_closest_state_takes_the_first_of_an_exact_mirror_tie():
+    target_state = ry_matrix(math.radians(-28.67)) @ np.array([1, 0], dtype=complex)
+    coverage = enumerate_states(3)
+    x, y, z = synth.closest_state(target_state, coverage)
+    assert (f"{x:.12g}", f"{y:.12g}", f"{z:.12g}") == (
+        "-0.5", "-0.146446609407", "0.853553390593")
+    assert (x, -y, z) in coverage.points
+    want = np.array(bloch_point(target_state))
+    assert (np.linalg.norm(np.subtract((x, y, z), want))
+            == np.linalg.norm(np.subtract((x, -y, z), want)))
 
 
 def test_unitary_counts():
