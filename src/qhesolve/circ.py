@@ -190,28 +190,6 @@ class Circuit:
         return seen
 
 
-@dataclass(frozen=True)
-class Topology:
-    """Coupling constraint: unconstrained, or a star with a fixed center."""
-
-    kind: str
-    center: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("unconstrained", "star"):
-            raise CircuitError(f"unknown topology kind {self.kind!r}")
-        if self.kind == "star" and (self.center is None or self.center < 0):
-            raise CircuitError("star topology needs a center qubit")
-
-    @classmethod
-    def unconstrained(cls) -> "Topology":
-        return cls("unconstrained")
-
-    @classmethod
-    def star(cls, center: int) -> "Topology":
-        return cls("star", center)
-
-
 # ---------------------------------------------------------------------------
 # Rewrite passes
 # ---------------------------------------------------------------------------
@@ -233,17 +211,14 @@ def reverse_cnot(control: int, target: int) -> list[Gate]:
     return [h(control), h(target), cx(target, control), h(control), h(target)]
 
 
-def legalize_star(circuit: Circuit, topology: Topology) -> Circuit:
-    """Rewrite every CNOT so its target is the star center.
+def legalize_star(circuit: Circuit, center: int) -> Circuit:
+    """Rewrite every CNOT so its target is the star center qubit.
 
     CNOTs already targeting the center pass through; CNOTs controlled by the
     center get the Hadamard-reversed form. A CNOT between two leaves is not
     routable on a star without SWAP insertion and is rejected.
     """
-    if topology.kind == "unconstrained":
-        return circuit
-    center = topology.center
-    if center >= circuit.n_qubits:
+    if not 0 <= center < circuit.n_qubits:
         raise CircuitError("star center outside the circuit")
     gates: list[Gate] = []
     for g in circuit.gates:
@@ -339,11 +314,13 @@ def parse_text(source: str) -> Circuit:
     gates: list[Gate] = []
     roles: dict[int, str] = {}
     measures: list[int] = []
-    for line_no, raw in enumerate(source.splitlines(), start=1):
+    # lines end at "\n" only, so qserve.MAX_CIRCUIT_LINES is one str.count
+    for line_no, raw in enumerate(source.split("\n"), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        tokens = line.split()
+        # no statement has 4 tokens: a 4th holds the rest of an overlong line
+        tokens = line.split(maxsplit=3)
         columns = []
         pos = 0
         for tok in tokens:

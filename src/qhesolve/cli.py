@@ -158,8 +158,7 @@ def _cmd_compile(args) -> int:
         circuit, _ = synth.substitute_clifford_t(circuit,
                                                  args.substitute_t_budget)
     if args.legalize_center is not None:
-        circuit = circ.legalize_star(circuit,
-                                     circ.Topology.star(args.legalize_center))
+        circuit = circ.legalize_star(circuit, args.legalize_center)
     _write_out(args.out, circ.emit_text(circuit))
     if args.out:
         sys.stdout.write(f"gates_before={before}\n"

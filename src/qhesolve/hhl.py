@@ -101,7 +101,6 @@ class SolverConfig:
     c_constant: float | None = None
     theta_override: float | None = None
     eigen_register_bits: int = 3
-    t0: float | None = None
     execution: str = "analytic"
     shots: int = 8192
     seed: int = 0
@@ -410,7 +409,7 @@ def build_general_circuit(system: LinearSystem,
     if n_qubits > qserve.MAX_QUBITS:
         raise SolverError(f"qubit budget exceeded (max {qserve.MAX_QUBITS})")
     eig = eigendecompose(system.a)
-    t0 = config.t0 if config.t0 is not None else choose_t0(eig, m)
+    t0 = choose_t0(eig, m)
     n1, n2 = _register_values(eig, m, t0)
     c = resolve_c(eig, config)
 
@@ -454,8 +453,8 @@ def _canonical_sign(vec: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return vec
 
 
-def extract_solution(post, success_probability: float, config: SolverConfig,
-                     b_norm: float, *, c_value: float, b_unit: np.ndarray,
+def extract_solution(post, success_probability: float, b_norm: float, *,
+                     c_value: float, b_unit: np.ndarray,
                      ideal: np.ndarray | None = None) -> SolutionReport:
     """Rebuild the signed solution and its scale from a post-selected result.
 
@@ -543,8 +542,7 @@ def compile_solver_circuit(eig: EigenDecomp, b_unit: np.ndarray,
             raise SolverError("replica rotation leaves no ancilla amplitude")
 
     if config.star_center is not None:
-        circuit = circ.legalize_star(circuit,
-                                     circ.Topology.star(config.star_center))
+        circuit = circ.legalize_star(circuit, config.star_center)
     return circuit, c_value
 
 
@@ -601,10 +599,5 @@ def submit_solve(system: LinearSystem, config: SolverConfig,
             [complex(re, im) for re, im in response["amplitudes"]])
         post = qsim.reduced_pure_state(state, STATE_QUBIT)
         prob = response["success_probability"]
-    return extract_solution(post, prob, config, b_norm, c_value=c_value,
+    return extract_solution(post, prob, b_norm, c_value=c_value,
                             b_unit=b_unit, ideal=classical_solve(system))
-
-
-def solve_system(system: LinearSystem, config: SolverConfig) -> SolutionReport:
-    """Solve without masking, executing in-process."""
-    return submit_solve(system, config)

@@ -11,9 +11,9 @@ through the same request handling, encoded and decoded as on the wire.
 Request fields: id, circuit (text format), mode ("analytic"|"sampled"),
 shots/seed (sampled), postselect {qubit, outcome}, bases [{basis, qubit}],
 noise_p (optional, sampled only: an exact depolarizing channel after every
-gate, evolved as one density matrix per job). A job takes at most
-MAX_QUBITS qubits and MAX_SHOTS shots. Responses carry amplitudes +
-success_probability, per-basis counts with raw/kept totals, or error + detail.
+gate, evolved as one density matrix per job). The MAX_* limits bound each
+job. Responses carry amplitudes + success_probability, per-basis counts with
+raw/kept totals, or error + detail.
 """
 from __future__ import annotations
 
@@ -42,8 +42,12 @@ DEFAULT_TIMEOUT = 30.0
 MAX_QUBITS = 10
 # rng.choice raises on 2**63 shots; at this cap a basis draws 8 MB of outcomes
 MAX_SHOTS = 1 << 20
+# parsing costs ~7 us and ~270 bytes per line
+MAX_CIRCUIT_LINES = 1 << 16
+MAX_BASES = 3 * MAX_QUBITS  # Z, X and Y on every qubit
+# run_density costs O(gates x 4^n): 128 gates at 10 qubits take ~5 s
+MAX_NOISY_WORK = 1 << 27
 MAX_CONCURRENT_JOBS = 32
-JOB_LOG_CAP = 64
 
 _PAULI_KINDS = ("x", "y", "z")
 
@@ -116,6 +120,9 @@ def execute_job(payload: dict) -> dict:
 
     if not isinstance(payload.get("circuit"), str):
         return fail("bad_request", "missing or non-text circuit")
+    if payload["circuit"].count("\n") > MAX_CIRCUIT_LINES:
+        return fail("bad_request",
+                    f"a circuit takes at most {MAX_CIRCUIT_LINES} lines")
     try:
         circuit = circ.parse_text(payload["circuit"])
     except circ.CircuitSyntaxError as exc:
@@ -143,6 +150,9 @@ def execute_job(payload: dict) -> dict:
     if circuit.n_qubits > MAX_QUBITS:
         return fail("bad_request", f"a {'noisy ' if noise_p else ''}job takes "
                     f"at most {MAX_QUBITS} qubits")
+    if noise_p and len(circuit.gates) * 4 ** circuit.n_qubits > MAX_NOISY_WORK:
+        return fail("bad_request", f"a noisy job takes at most "
+                    f"{MAX_NOISY_WORK} gates x 4^qubits")
 
     try:
         if mode == "analytic":
@@ -170,12 +180,17 @@ def execute_job(payload: dict) -> dict:
                 return fail("bad_request",
                             "sampled mode needs an integer seed >= 0")
             try:
-                bases = [(spec["basis"], int(spec["qubit"])) for spec in
-                         payload.get("bases") or [{"basis": "Z", "qubit": 0}]]
+                specs = payload.get("bases") or [{"basis": "Z", "qubit": 0}]
+                if len(specs) > MAX_BASES:
+                    return fail("bad_request",
+                                f"a job takes at most {MAX_BASES} bases")
+                bases = [(spec["basis"], int(spec["qubit"])) for spec in specs]
             except (KeyError, TypeError, ValueError, OverflowError):
                 return fail("bad_request", "each basis needs basis and qubit")
             if any(not 0 <= q < circuit.n_qubits for _, q in bases):
                 return fail("bad_request", "basis qubit outside the circuit")
+            if any(b not in ("Z", "X", "Y") for b, _ in bases):
+                return fail("bad_request", "each basis is Z, X or Y")
             # Simulate once; each basis rotates that state without noise.
             state = (qsim.run_density(circuit, noise_p) if noise_p
                      else qsim.run_statevector(circuit))
@@ -268,7 +283,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0
     timeout: float = DEFAULT_TIMEOUT
-    record_payloads: bool = False  # raw request bytes, for protocol tests
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -290,7 +304,6 @@ class _Handler(socketserver.BaseRequestHandler):
                 return
             if payload_bytes is None:
                 return
-            self.server.record(payload_bytes)
             with self.server.job_slots:
                 response = handle_request(payload_bytes)
             try:
@@ -306,8 +319,6 @@ class _TCPServer(socketserver.ThreadingTCPServer):
     def __init__(self, config: ServerConfig):
         self.config = config
         self.job_slots = threading.BoundedSemaphore(MAX_CONCURRENT_JOBS)
-        self._records: list[bytes] = []
-        self._records_lock = threading.Lock()
         # a byte on wake ends serve_until_stopped's select, which has no
         # timeout: an idle server never polls, and stops at once
         self.wake, self._woken = socket.socketpair()
@@ -325,18 +336,6 @@ class _TCPServer(socketserver.ThreadingTCPServer):
         self.wake.close()
         self._woken.close()
 
-    def record(self, payload_bytes: bytes):
-        if not self.config.record_payloads:
-            return
-        with self._records_lock:
-            self._records.append(payload_bytes)
-            del self._records[:-JOB_LOG_CAP]
-
-    @property
-    def records(self) -> list[bytes]:
-        with self._records_lock:
-            return list(self._records)
-
 
 class ExecutionServer:
     """Lifecycle wrapper: start() in a background thread, or serve_forever()."""
@@ -350,10 +349,6 @@ class ExecutionServer:
     def address(self) -> tuple[str, int]:
         host, port = self._server.server_address[:2]
         return host, port
-
-    @property
-    def records(self) -> list[bytes]:
-        return self._server.records
 
     def start(self) -> tuple[str, int]:
         self._thread = threading.Thread(

@@ -11,6 +11,22 @@ def server():
         yield srv
 
 
+@pytest.fixture
+def request_log(monkeypatch):
+    """The bytes of every request frame handled, in order, whether it came
+    over TCP or through an in-process submit: both look up
+    qserve.handle_request when they run."""
+    frames: list[bytes] = []
+    handle = qserve.handle_request
+
+    def recording(payload_bytes: bytes) -> dict:
+        frames.append(payload_bytes)
+        return handle(payload_bytes)
+
+    monkeypatch.setattr(qserve, "handle_request", recording)
+    return frames
+
+
 def random_symmetric_pd(rng: np.random.Generator,
                         max_condition: float = 10.0) -> np.ndarray:
     """Random symmetric positive-definite 2x2 with bounded condition number."""

@@ -279,7 +279,7 @@ def test_criterion_4_compiler_semantics():
         n = int(rng.integers(2, 5))
         center = int(rng.integers(n))
         circuit = random_star_circuit(rng, n, int(rng.integers(1, 31)), center)
-        legalized = circ.legalize_star(circuit, circ.Topology.star(center))
+        legalized = circ.legalize_star(circuit, center)
         assert all(g.target == center for g in legalized.gates
                    if g.kind == "cx")
         worst = max(worst, qsim.phase_distance(qsim.circuit_unitary(circuit),
@@ -302,8 +302,7 @@ def test_criterion_4_compiler_semantics():
                                   rs_t_budget=budget)
         circuit, _ = hhl.compile_solver_circuit(
             eig, masked.b_prime / masked.b_prime_norm, config)
-        legalized = circ.legalize_star(circuit,
-                                       circ.Topology.star(hhl.EIGEN_QUBIT))
+        legalized = circ.legalize_star(circuit, hhl.EIGEN_QUBIT)
         assert all(g.target == hhl.EIGEN_QUBIT for g in legalized.gates
                    if g.kind == "cx")
         worst = max(worst, qsim.phase_distance(qsim.circuit_unitary(circuit),
@@ -378,7 +377,7 @@ def test_criterion_6_homomorphism():
         want = hhl.classical_solve(system)
         classical_worst = max(classical_worst,
                               float(np.max(np.abs(got - want))))
-        report = hhl.solve_system(hhl.LinearSystem(masked.a_matrix,
+        report = hhl.submit_solve(hhl.LinearSystem(masked.a_matrix,
                                                    masked.b_prime),
                                   hhl.SolverConfig(mode="exact"))
         got_q = hecrypt.decrypt(report.solution, key)
@@ -439,7 +438,7 @@ def test_criterion_7_tomography(server):
 # 8. service protocol
 # ---------------------------------------------------------------------------
 
-def test_criterion_8_service(server):
+def test_criterion_8_service(server, request_log):
     import threading
 
     circuit_text = circ.emit_text(hhl.build_optimized_circuit(
@@ -466,22 +465,20 @@ def test_criterion_8_service(server):
     conserved = all(item["raw_shots"] == 2048
                     for r in serial for item in r["results"])
 
-    recorder = qserve.ExecutionServer(qserve.ServerConfig(record_payloads=True))
-    with recorder:
-        system = fixtures.eq7()
-        hecrypt.solve_encrypted(
-            system, hecrypt.MaskKey((1, 0)), recorder.address,
-            hhl.SolverConfig(mode="replica",
-                             theta_override=fixtures.REPLICA_THETA,
-                             execution="sampled", shots=512, seed=1,
-                             star_center=hhl.EIGEN_QUBIT, rs_t_budget=7))
-        records = recorder.records
+    request_log.clear()
+    system = fixtures.eq7()
+    hecrypt.solve_encrypted(
+        system, hecrypt.MaskKey((1, 0)), server.address,
+        hhl.SolverConfig(mode="replica",
+                         theta_override=fixtures.REPLICA_THETA,
+                         execution="sampled", shots=512, seed=1,
+                         star_center=hhl.EIGEN_QUBIT, rs_t_budget=7))
+    records = list(request_log)
     clean = bool(records)
     for raw in records:
         payload = json.loads(raw.decode("utf-8"))
         clean &= set(payload) <= {"id", "circuit", "mode", "shots", "seed",
-                                  "postselect", "bases", "noise_p",
-                                  "b_prime_norm"}
+                                  "postselect", "bases", "noise_p"}
         text = raw.decode("utf-8")
         clean &= "key" not in text.lower()
         for component in system.b:

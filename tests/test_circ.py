@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qhesolve import circ, qsim
-from qhesolve.circ import (Circuit, CircuitError, CircuitSyntaxError, Topology,
+from qhesolve.circ import (Circuit, CircuitError, CircuitSyntaxError,
                            basis_change, cx, decompose_cry, emit_text, h,
                            legalize_star, parse_text, reverse_cnot, ry, s,
                            substitute_ry, t, x)
@@ -138,13 +138,13 @@ def test_reverse_cnot_twice_restores_direction():
 
 def test_legalize_noop_on_legal_circuit():
     c = Circuit(3, [h(0), cx(0, 1), cx(2, 1)])
-    out = legalize_star(c, Topology.star(1))
+    out = legalize_star(c, 1)
     assert out == c
 
 
 def test_legalize_reverses_center_controlled_cnot():
     c = Circuit(2, [cx(1, 0)])
-    out = legalize_star(c, Topology.star(1))
+    out = legalize_star(c, 1)
     assert len(out.gates) == 5
     assert all(g.target == 1 for g in out.gates if g.kind == "cx")
     assert np.allclose(qsim.circuit_unitary(out), qsim.circuit_unitary(c),
@@ -154,15 +154,20 @@ def test_legalize_reverses_center_controlled_cnot():
 def test_legalize_rejects_leaf_to_leaf():
     c = Circuit(3, [cx(0, 2)])
     with pytest.raises(CircuitError, match="leaf"):
-        legalize_star(c, Topology.star(1))
+        legalize_star(c, 1)
+
+
+@pytest.mark.parametrize("center", [-1, 3])
+def test_legalize_rejects_center_outside_circuit(center):
+    c = Circuit(3, [h(0), cx(0, 1)])
+    with pytest.raises(CircuitError, match="star center outside the circuit"):
+        legalize_star(c, center)
 
 
 def test_legalize_idempotent_and_unconstrained():
     c = Circuit(3, [h(0), cx(1, 0), ry(0.3, 2), cx(2, 1)])
-    topo = Topology.star(1)
-    once = legalize_star(c, topo)
-    assert legalize_star(once, topo) == once
-    assert legalize_star(c, Topology.unconstrained()) == c
+    once = legalize_star(c, 1)
+    assert legalize_star(once, 1) == once
 
 
 def random_star_circuit(rng, n_qubits, depth, center):
@@ -187,7 +192,7 @@ def test_legalize_preserves_semantics_on_random_circuits():
         n = int(rng.integers(2, 5))
         center = int(rng.integers(n))
         c = random_star_circuit(rng, n, int(rng.integers(1, 31)), center)
-        out = legalize_star(c, Topology.star(center))
+        out = legalize_star(c, center)
         assert all(g.target == center for g in out.gates if g.kind == "cx")
         dist = qsim.phase_distance(qsim.circuit_unitary(c),
                                    qsim.circuit_unitary(out))
@@ -309,6 +314,26 @@ def test_parse_error_positions():
     assert (err.value.line, err.value.column) == (2, 3)
 
 
+def test_parse_lines_end_at_newline():
+    assert parse_text("qubits 1\r\nh q0\r\n") == parse_text("qubits 1\nh q0\n")
+    with pytest.raises(CircuitSyntaxError, match="'qubits' expects 1"):
+        parse_text("qubits 1\rh q0\r")
+
+
+def test_parse_overlong_line_allocates_no_token_list():
+    import tracemalloc
+    source = "qubits 1\nh " + "q0 " * 100_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(CircuitSyntaxError, match="expects 1 argument"):
+            parse_text(source)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a list of 100,000 tokens would take ~30x the source
+    assert peak < 8 * len(source)
+
+
 def test_parse_rejects_gate_after_measure():
     with pytest.raises(CircuitSyntaxError, match="after 'measure'"):
         parse_text("qubits 1\nmeasure q0\nh q0\n")
@@ -375,5 +400,5 @@ def test_legalized_solver_circuit_round_trips():
                               theta_override=math.radians(-57.34))
     circuit = hhl.build_optimized_circuit(
         eig, np.array([1, 1]) / math.sqrt(2), config)
-    legalized = legalize_star(circuit, Topology.star(hhl.EIGEN_QUBIT))
+    legalized = legalize_star(circuit, hhl.EIGEN_QUBIT)
     assert parse_text(emit_text(legalized)) == legalized

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_symmetric_pd, random_unit_vector
-from qhesolve import fixtures, hhl, qserve
+from qhesolve import fixtures, hhl
 from qhesolve.hecrypt import (MaskKey, MaskingError, decrypt, encrypt, keygen,
                               solve_encrypted)
 from qhesolve.hhl import LinearSystem, SolverConfig, classical_solve
@@ -119,7 +119,7 @@ def test_homomorphism_quantum_backend_sample():
             masked = encrypt(system, key)
         except MaskingError:
             continue
-        report = hhl.solve_system(LinearSystem(masked.a_matrix, masked.b_prime),
+        report = hhl.submit_solve(LinearSystem(masked.a_matrix, masked.b_prime),
                                   SolverConfig(mode="exact"))
         got = decrypt(report.solution, key)
         want = classical_solve(system)
@@ -155,24 +155,21 @@ def test_solve_encrypted_sampled_replica_within_two_percent(server):
     assert report.relative_error < 0.02
 
 
-def test_job_payload_never_carries_key_or_plaintext():
-    recorder = qserve.ExecutionServer(qserve.ServerConfig(record_payloads=True))
-    with recorder:
-        system = fixtures.eq7()
-        key = MaskKey((1, 0))
-        solve_encrypted(system, key, recorder.address,
-                        SolverConfig(mode="exact", execution="analytic"))
-        solve_encrypted(system, key, recorder.address,
-                        SolverConfig(mode="replica",
-                                     theta_override=fixtures.REPLICA_THETA,
-                                     execution="sampled", shots=256, seed=3,
-                                     star_center=hhl.EIGEN_QUBIT,
-                                     rs_t_budget=7))
-        records = recorder.records
-    assert records
+def test_job_payload_never_carries_key_or_plaintext(server, request_log):
+    system = fixtures.eq7()
+    key = MaskKey((1, 0))
+    solve_encrypted(system, key, server.address,
+                    SolverConfig(mode="exact", execution="analytic"))
+    replica = SolverConfig(mode="replica",
+                           theta_override=fixtures.REPLICA_THETA,
+                           execution="sampled", shots=256, seed=3,
+                           star_center=hhl.EIGEN_QUBIT, rs_t_budget=7)
+    solve_encrypted(system, key, server.address, replica)
+    solve_encrypted(system, key, None, replica)  # in-process, no socket
+    assert len(request_log) == 3
     allowed = {"id", "circuit", "mode", "shots", "seed", "postselect",
-               "bases", "noise_p", "b_prime_norm"}
-    for raw in records:
+               "bases", "noise_p"}
+    for raw in request_log:
         payload = json.loads(raw.decode("utf-8"))
         assert set(payload) <= allowed
         text = raw.decode("utf-8")
@@ -191,15 +188,12 @@ def test_job_payload_never_carries_key_or_plaintext():
                  execution="sampled", shots=256, seed=3,
                  star_center=hhl.EIGEN_QUBIT, rs_t_budget=7),
 ], ids=["exact-analytic", "replica-sampled"])
-def test_server_view_does_not_depend_on_the_scale_of_b_prime(config):
+def test_server_view_does_not_depend_on_the_scale_of_b_prime(config, server,
+                                                             request_log):
     # ||b'|| depends on the private b: the frame must not carry it
     masked = encrypt(fixtures.eq7(), MaskKey((1, 0)))
-    recorder = qserve.ExecutionServer(qserve.ServerConfig(record_payloads=True))
-    with recorder:
-        for scale in (1.0, 2.0):
-            hhl.submit_solve(LinearSystem(masked.a_matrix,
-                                          scale * masked.b_prime),
-                             config, recorder.address)
-        records = recorder.records
-    assert len(records) == 2
-    assert records[0] == records[1]
+    for scale in (1.0, 2.0):
+        hhl.submit_solve(LinearSystem(masked.a_matrix, scale * masked.b_prime),
+                         config, server.address)
+    assert len(request_log) == 2
+    assert request_log[0] == request_log[1]

@@ -18,7 +18,7 @@ from qhesolve.hhl import (ANCILLA_QUBIT, STATE_QUBIT, EigenDecomp,
                           choose_t0, classical_solve, compile_solver_circuit,
                           eigendecompose, extract_solution, prepare_b,
                           qft_gates, report_to_text, rotation_angle_exact,
-                          rotation_angle_replica, rz_gates, solve_system,
+                          rotation_angle_replica, rz_gates, submit_solve,
                           uniformly_controlled_ry)
 
 SQ2 = 1 / math.sqrt(2)
@@ -336,19 +336,6 @@ def test_general_circuit_qubit_budget():
         build_general_circuit(system, SolverConfig(eigen_register_bits=9))
 
 
-def test_general_circuit_accepts_explicit_t0():
-    system = LinearSystem(A_EQ7, B_MASKED_EQ7)
-    t0 = choose_t0(eigendecompose(A_EQ7), 3)
-    config = SolverConfig(mode="exact", c_constant=0.4,
-                          eigen_register_bits=3, t0=t0)
-    sol, prob = general_post_state(system, config)
-    assert prob == pytest.approx(0.16, abs=1e-9)
-    # an inexact override is rejected rather than silently leaking amplitude
-    bad = SolverConfig(mode="exact", eigen_register_bits=3, t0=t0 * 1.01)
-    with pytest.raises(SolverError, match="register"):
-        build_general_circuit(system, bad)
-
-
 def test_solver_config_validation():
     with pytest.raises(SolverError):
         SolverConfig(mode="fast")
@@ -362,7 +349,7 @@ def test_solver_config_validation():
 
 def test_extract_solution_first_fixture_values():
     system = LinearSystem(A_EQ7, B_MASKED_EQ7)
-    report = solve_system(system, SolverConfig(mode="exact", c_constant=0.4))
+    report = submit_solve(system, SolverConfig(mode="exact", c_constant=0.4))
     assert report.scale == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(report.solution, [SQ2, SQ2], atol=1e-9)
     assert report.success_probability == pytest.approx(0.16, abs=1e-9)
@@ -372,16 +359,15 @@ def test_extract_solution_first_fixture_values():
 
 def test_extract_solution_scaled_identity():
     system = LinearSystem(2 * np.eye(2), np.array([1.0, 0.0]))
-    report = solve_system(system, SolverConfig(mode="exact"))
+    report = submit_solve(system, SolverConfig(mode="exact"))
     assert report.success_probability == pytest.approx(1.0, abs=1e-9)
     assert report.scale == pytest.approx(0.5, abs=1e-9)
     assert np.allclose(report.solution, [0.5, 0.0], atol=1e-9)
 
 
 def test_extract_solution_rejects_zero_probability():
-    config = SolverConfig()
     with pytest.raises(SolverError):
-        extract_solution(np.array([1.0, 0.0]), 0.0, config, 1.0,
+        extract_solution(np.array([1.0, 0.0]), 0.0, 1.0,
                          c_value=1.0, b_unit=np.array([1.0, 0.0]))
 
 
@@ -390,7 +376,7 @@ def test_solution_invariants():
     for _ in range(30):
         system = LinearSystem(random_symmetric_pd(rng),
                               random_unit_vector(rng))
-        report = solve_system(system, SolverConfig(mode="exact"))
+        report = submit_solve(system, SolverConfig(mode="exact"))
         assert np.linalg.norm(report.normalized_solution) == pytest.approx(
             1.0, abs=1e-9)
         assert np.allclose(report.solution,
@@ -404,7 +390,7 @@ def test_oracle_equivalence_exact_mode():
         a = random_symmetric_pd(rng, max_condition=10.0)
         b = random_unit_vector(rng)
         system = LinearSystem(a, b)
-        report = solve_system(system, SolverConfig(mode="exact"))
+        report = submit_solve(system, SolverConfig(mode="exact"))
         want = classical_solve(system)
         err = np.linalg.norm(report.solution - want) / np.linalg.norm(want)
         assert err < 1e-6
@@ -417,7 +403,7 @@ def test_success_probability_law():
         b = random_unit_vector(rng)
         system = LinearSystem(a, b)
         c = eigendecompose(a).lambda_min * rng.uniform(0.3, 1.0)
-        report = solve_system(system, SolverConfig(mode="exact", c_constant=c))
+        report = submit_solve(system, SolverConfig(mode="exact", c_constant=c))
         want = c ** 2 * np.linalg.norm(np.linalg.solve(a, b)) ** 2
         assert report.success_probability == pytest.approx(want, abs=1e-9)
         # scale * ||normalized|| recovers ||A^-1 b||
@@ -429,7 +415,7 @@ def test_sampled_execution_close_to_oracle():
     system = LinearSystem(A_EQ7, B_MASKED_EQ7)
     config = SolverConfig(mode="exact", execution="sampled", shots=8192,
                           seed=11)
-    report = solve_system(system, config)
+    report = submit_solve(system, config)
     want = classical_solve(system)
     err = np.linalg.norm(report.solution - want) / np.linalg.norm(want)
     assert err < 0.05
@@ -449,7 +435,7 @@ def test_compile_solver_circuit_substitution_changes_gates():
 
 def test_report_text_format():
     system = LinearSystem(A_EQ7, B_MASKED_EQ7)
-    report = solve_system(system, SolverConfig(mode="exact", c_constant=0.4))
+    report = submit_solve(system, SolverConfig(mode="exact", c_constant=0.4))
     text = report_to_text(report)
     lines = dict(line.split("=", 1) for line in text.strip().split("\n"))
     assert float(lines["success_probability"]) == pytest.approx(0.16, abs=1e-9)

@@ -339,6 +339,39 @@ def test_wide_noiseless_job_is_refused_before_allocating(monkeypatch, server):
     assert reached == []
 
 
+def test_long_noisy_job_is_refused_before_allocating(monkeypatch, server):
+    reached = []
+
+    def refuse(circuit, noise_p):
+        reached.append(len(circuit.gates))
+        raise qsim.SimulationError("run_density reached")
+
+    monkeypatch.setattr(qsim, "run_density", refuse)
+
+    def noisy(gates):
+        return Job(id=f"g{gates}", circuit="qubits 10\n" + "h q0\n" * gates,
+                   mode="sampled", shots=1, seed=1, noise_p=0.01).to_payload()
+
+    direct = execute_job(noisy(129))
+    assert (direct["error"], direct["detail"]) == (
+        "bad_request", "a noisy job takes at most 134217728 gates x 4^qubits")
+    with socket.create_connection(server.address, timeout=5.0) as sock:
+        qserve.send_frame(sock, noisy(129))
+        assert json.loads(qserve.recv_frame(sock)) == direct
+    assert reached == []
+    # 128 gates x 4^10 is exactly the limit
+    assert execute_job(noisy(128))["error"] == "execution_error"
+    assert reached == [128]
+
+
+def test_job_limits_are_inclusive():
+    # MAX_CIRCUIT_LINES CRLF-terminated lines and MAX_BASES bases
+    text = "qubits 1\r\nh q0\r\n" + "\r\n" * (qserve.MAX_CIRCUIT_LINES - 2)
+    payload = Job(id="edge", circuit=text, mode="sampled", shots=4, seed=1,
+                  bases=(("X", 0),) * qserve.MAX_BASES).to_payload()
+    assert len(execute_job(payload)["results"]) == qserve.MAX_BASES
+
+
 # ---------------------------------------------------------------------------
 # wire protocol
 # ---------------------------------------------------------------------------
@@ -460,6 +493,12 @@ MALFORMED = {
                                                         "outcome": 1}},
     "shots_overflowing": {"shots": 10**30},
     "shots_over_limit": {"shots": qserve.MAX_SHOTS + 1},
+    "basis_unknown": {"bases": [{"basis": "W", "qubit": 0}]},
+    "basis_not_string": {"bases": [{"basis": ["Z"], "qubit": 0}]},
+    "bases_over_limit": {"bases": [{"basis": "Z", "qubit": 0}]
+                         * (qserve.MAX_BASES + 1)},
+    "circuit_lines_over_limit": {
+        "circuit": "qubits 1\n" + "h q0\n" * qserve.MAX_CIRCUIT_LINES},
 }
 
 
