@@ -298,11 +298,19 @@ def emit_text(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decimal(token: str) -> int | None:
+    # int() refuses superscripts (isdigit() passes them) and 4300+ digits
+    try:
+        return int(token) if token.isdecimal() else None
+    except ValueError:
+        return None
+
+
 def _parse_qubit(token: str, n_qubits: int, line_no: int, col: int) -> int:
-    if not token.startswith("q") or not token[1:].isdigit():
+    q = _decimal(token[1:]) if token.startswith("q") else None
+    if q is None:
         raise CircuitSyntaxError(f"expected qubit token, got {token!r}",
                                  line_no, col)
-    q = int(token[1:])
     if q >= n_qubits:
         raise CircuitSyntaxError(
             f"qubit q{q} out of range for {n_qubits} qubits", line_no, col)
@@ -340,10 +348,10 @@ def parse_text(source: str) -> Circuit:
                 raise CircuitSyntaxError("first statement must be 'qubits <n>'",
                                          line_no, columns[0])
             need(2)
-            if not tokens[1].isdigit() or int(tokens[1]) < 1:
+            n_qubits = _decimal(tokens[1])
+            if n_qubits is None or n_qubits < 1:
                 raise CircuitSyntaxError("qubit count must be a positive integer",
                                          line_no, columns[1])
-            n_qubits = int(tokens[1])
             continue
         if head == "qubits":
             raise CircuitSyntaxError("duplicate 'qubits' statement",

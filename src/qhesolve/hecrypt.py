@@ -40,11 +40,11 @@ class MaskKey:
 
 @dataclass(frozen=True)
 class MaskedSystem:
-    """What the server may see: the public matrix and the masked vector."""
+    """The public matrix and the masked vector b' = b - A a; the server sees
+    A and only the direction of b', through the circuit."""
 
     a_matrix: np.ndarray
     b_prime: np.ndarray
-    b_prime_norm: float
 
 
 def keygen(n: int, seed: int) -> MaskKey:
@@ -60,11 +60,10 @@ def encrypt(system: LinearSystem, key: MaskKey) -> MaskedSystem:
     if len(key.a) != 2:
         raise MaskingError("key length must match the system dimension")
     b_prime = system.b - system.a @ key.vector()
-    norm = float(np.linalg.norm(b_prime))
-    if norm <= 1e-12:
+    if np.linalg.norm(b_prime) <= 1e-12:
         raise MaskingError(
             "masked vector vanishes (b equals A a); resample the key")
-    return MaskedSystem(system.a, b_prime, norm)
+    return MaskedSystem(system.a, b_prime)
 
 
 def decrypt(result: np.ndarray, key: MaskKey) -> np.ndarray:

@@ -13,9 +13,10 @@ the response. Two builders cover the same problem:
     value, and the inverse estimation. Restricted to spectra whose
     eigenphases are exactly representable in m bits (see choose_t0).
 
-The solution state fixes the answer only up to a global sign; both extraction
-paths resolve it against the input direction, which has positive overlap with
-A^-1 b for positive-definite systems.
+Both executions hand extract_solution the solution qubit's Z/X/Y
+expectations, exact (analytic) or tomographed (sampled). They fix the answer
+up to a global sign, resolved against the input direction, which has positive
+overlap with A^-1 b for positive-definite systems.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import circ, qserve, qsim, synth
 from .circ import Circuit, Gate
-from .qsim import PauliExpectations, StateVector
+from .qsim import PauliExpectations
 
 STATE_QUBIT = 0
 EIGEN_QUBIT = 1
@@ -82,9 +83,6 @@ class EigenDecomp:
     def lambda_min(self) -> float:
         return min(abs(self.lambda1), abs(self.lambda2))
 
-    def reconstruct(self) -> np.ndarray:
-        return self.r.T @ np.diag(self.lambdas) @ self.r
-
 
 @dataclass
 class SolverConfig:
@@ -130,8 +128,8 @@ class SolutionReport:
     scale: float
     solution: np.ndarray
     expectations: PauliExpectations
-    fidelity_vs_ideal: float | None = None
-    relative_error: float | None = None
+    fidelity_vs_ideal: float
+    relative_error: float
     masked_solution: np.ndarray | None = None
 
     def as_records(self) -> list[tuple[str, float]]:
@@ -153,11 +151,8 @@ class SolutionReport:
         if self.masked_solution is not None:
             items.append(("masked_solution_1", float(self.masked_solution[0])))
             items.append(("masked_solution_2", float(self.masked_solution[1])))
-        if self.fidelity_vs_ideal is not None:
-            items.append(("fidelity_vs_ideal", self.fidelity_vs_ideal))
-        if self.relative_error is not None:
-            items.append(("relative_error", self.relative_error))
-        return items
+        return items + [("fidelity_vs_ideal", self.fidelity_vs_ideal),
+                        ("relative_error", self.relative_error)]
 
 
 def report_to_text(report: SolutionReport) -> str:
@@ -453,64 +448,38 @@ def _canonical_sign(vec: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return vec
 
 
-def extract_solution(post, success_probability: float, b_norm: float, *,
+def extract_solution(expectations: PauliExpectations,
+                     success_probability: float, b_norm: float, *,
                      c_value: float, b_unit: np.ndarray,
-                     ideal: np.ndarray | None = None) -> SolutionReport:
-    """Rebuild the signed solution and its scale from a post-selected result.
+                     ideal: np.ndarray) -> SolutionReport:
+    """Rebuild the signed solution and its scale from the solution qubit's
+    Pauli expectations, exact (analytic) or tomographed (sampled).
 
-    `post` is either the post-selected solution-qubit amplitudes (analytic)
-    or PauliExpectations from sampled tomography. The scale follows from the
-    success probability: P = c^2 ||A^-1 b_unit||^2, so
-    ||A^-1 b|| = b_norm sqrt(P) / c.
+    |a0| and |a1| follow from Z and the relative sign from X, since the
+    solution amplitudes are real. The scale follows from the success
+    probability: P = c^2 ||A^-1 b_unit||^2, so ||A^-1 b|| = b_norm sqrt(P) / c.
     """
     if success_probability <= 0:
         raise SolverError("zero success probability")
-    b_unit = np.asarray(b_unit, dtype=float)
-
-    if isinstance(post, PauliExpectations):
-        expectations = post
-        qsim.check_bloch_ball(expectations)
-        z = min(1.0, max(-1.0, expectations.z))
-        a0 = math.sqrt((1.0 + z) / 2.0)
-        a1 = math.sqrt((1.0 - z) / 2.0)
-        # relative sign from the X expectation (solution amplitudes are real)
-        if expectations.x < 0:
-            a1 = -a1
-        normalized = np.array([a0, a1])
-    else:
-        amps = np.asarray(post, dtype=complex)
-        if amps.shape != (2,):
-            raise SolverError("analytic extraction expects 2 amplitudes")
-        # Real circuits leave at most a global phase; rotate it away.
-        lead = amps[int(np.argmax(np.abs(amps)))]
-        amps = amps * np.conj(lead / abs(lead))
-        if np.max(np.abs(amps.imag)) > 1e-6:
-            raise SolverError("solution amplitudes are not real up to phase")
-        normalized = amps.real / np.linalg.norm(amps.real)
-        expectations = qsim.analytic_expectations(
-            StateVector.from_amplitudes(amps / np.linalg.norm(amps)), 0)
-
-    normalized = _canonical_sign(normalized, b_unit)
+    z = min(1.0, max(-1.0, expectations.z))
+    a0 = math.sqrt((1.0 + z) / 2.0)
+    a1 = math.sqrt((1.0 - z) / 2.0)
+    if expectations.x < 0:
+        a1 = -a1
+    normalized = _canonical_sign(np.array([a0, a1]), b_unit)
     scale = b_norm * math.sqrt(success_probability) / c_value
     solution = scale * normalized
 
-    fidelity = None
-    rel_error = None
-    if ideal is not None:
-        ideal = np.asarray(ideal, dtype=float)
-        ideal_unit = ideal / np.linalg.norm(ideal)
-        fidelity = qsim.fidelity_from_expectations(expectations,
-                                                   ideal_unit.astype(complex))
-        rel_error = float(np.linalg.norm(solution - ideal)
-                          / np.linalg.norm(ideal))
+    ideal_norm = np.linalg.norm(ideal)
     return SolutionReport(
         normalized_solution=normalized,
         success_probability=float(success_probability),
         scale=float(scale),
         solution=solution,
         expectations=expectations,
-        fidelity_vs_ideal=fidelity,
-        relative_error=rel_error,
+        fidelity_vs_ideal=qsim.fidelity_from_expectations(
+            expectations, ideal / ideal_norm),
+        relative_error=float(np.linalg.norm(solution - ideal) / ideal_norm),
     )
 
 
@@ -590,14 +559,14 @@ def submit_solve(system: LinearSystem, config: SolverConfig,
         results = response["results"]
         tables = {item["basis"]: qsim.Counts(item["kept_shots"], item["counts"])
                   for item in results}
-        post = qsim.pauli_expectations(tables["Z"], tables["X"], tables["Y"],
-                                       STATE_QUBIT)
+        expectations = qsim.pauli_expectations(tables["Z"], tables["X"],
+                                               tables["Y"], STATE_QUBIT)
         prob = (sum(item["kept_shots"] for item in results)
                 / sum(item["raw_shots"] for item in results))
     else:
         state = qsim.StateVector.from_amplitudes(
             [complex(re, im) for re, im in response["amplitudes"]])
-        post = qsim.reduced_pure_state(state, STATE_QUBIT)
+        expectations = qsim.analytic_expectations(state, STATE_QUBIT)
         prob = response["success_probability"]
-    return extract_solution(post, prob, b_norm, c_value=c_value,
+    return extract_solution(expectations, prob, b_norm, c_value=c_value,
                             b_unit=b_unit, ideal=classical_solve(system))

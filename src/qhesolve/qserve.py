@@ -143,7 +143,7 @@ def execute_job(payload: dict) -> dict:
             return fail("bad_request", "postselect qubit outside the circuit")
     try:
         noise_p = float(payload.get("noise_p", 0.0))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         noise_p = math.nan  # fails the range check below
     if not 0.0 <= noise_p <= 0.5:
         return fail("bad_request", "noise_p must be a number in [0, 0.5]")
@@ -266,7 +266,7 @@ def handle_request(payload_bytes: bytes) -> dict:
         payload = json.loads(payload_bytes.decode("utf-8"))
         if not isinstance(payload, dict):
             raise ValueError("payload must be a JSON object")
-    except (UnicodeDecodeError, ValueError) as exc:
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         return {"error": "bad_request", "detail": f"undecodable payload: {exc}"}
     response = execute_job(payload)
     log.info("job id=%s mode=%s -> %s", payload.get("id"), payload.get("mode"),

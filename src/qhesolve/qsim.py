@@ -159,9 +159,6 @@ class PauliExpectations:
     sigma_y: float = 0.0
     shots_per_basis: int = 0
 
-    def bloch_norm_sq(self) -> float:
-        return self.x ** 2 + self.y ** 2 + self.z ** 2
-
 
 def _check_qubit(n_qubits: int, qubit: int):
     if not 0 <= qubit < n_qubits:

@@ -301,7 +301,7 @@ def test_criterion_4_compiler_semantics():
                                   theta_override=fixtures.REPLICA_THETA,
                                   rs_t_budget=budget)
         circuit, _ = hhl.compile_solver_circuit(
-            eig, masked.b_prime / masked.b_prime_norm, config)
+            eig, masked.b_prime / np.linalg.norm(masked.b_prime), config)
         legalized = circ.legalize_star(circuit, hhl.EIGEN_QUBIT)
         assert all(g.target == hhl.EIGEN_QUBIT for g in legalized.gates
                    if g.kind == "cx")

@@ -334,6 +334,17 @@ def test_parse_overlong_line_allocates_no_token_list():
     assert peak < 8 * len(source)
 
 
+@pytest.mark.parametrize("source", [
+    "qubits \u00b2\n", "qubits " + "1" * 5000 + "\n",
+    "qubits 2\nh q\u00b2\n", "qubits 2\nh q" + "1" * 5000 + "\n",
+], ids=["count_superscript", "count_5000_digits", "qubit_superscript",
+        "qubit_5000_digits"])
+def test_parse_refuses_integers_int_cannot_read(source):
+    # isdigit() passes each of these, but int() raises ValueError on them
+    with pytest.raises(CircuitSyntaxError):
+        parse_text(source)
+
+
 def test_parse_rejects_gate_after_measure():
     with pytest.raises(CircuitSyntaxError, match="after 'measure'"):
         parse_text("qubits 1\nmeasure q0\nh q0\n")

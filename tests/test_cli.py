@@ -5,6 +5,7 @@ import socket
 import numpy as np
 import pytest
 
+from qhesolve import fixtures, hecrypt, hhl, qsim
 from qhesolve.cli import build_parser, main
 
 SQ2 = 1 / math.sqrt(2)
@@ -105,6 +106,47 @@ def test_solve_key_seed_generates_key(capsys):
     status, out, _ = run_cli(capsys, argv)
     assert status == 0
     assert report_values(out)["relative_error"] < 1e-6
+
+
+# Clifford+T substitution leaves the post-selected amplitudes complex; both
+# executions read the same Z/X/Y expectations of the solution qubit.
+PERSYMMETRIC = hhl.LinearSystem(
+    np.array([[1.3151844762863751, 0.1035883042703736],
+              [0.1035883042703736, 1.3151844762863751]]),
+    np.array([-1.830819575104107, -1.0349728241419118]))
+SUBSTITUTED_SOLVES = {
+    "eq7_exact_t7": (["--fixture", "eq7", "--key", "0,1", "--mode", "exact",
+                      "--t-budget", "7"], fixtures.eq7(), (0, 1)),
+    "eq7_replica": (["--fixture", "eq7", "--key", "0,1", "--mode", "replica"],
+                    fixtures.eq7(), (0, 1)),
+    "persymmetric_replica": (
+        ["--matrix=1.3151844762863751,0.1035883042703736,"
+         "0.1035883042703736,1.3151844762863751",
+         "--rhs=-1.830819575104107,-1.0349728241419118", "--key-seed", "13",
+         "--mode", "replica"], PERSYMMETRIC, hecrypt.keygen(2, 13).a),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBSTITUTED_SOLVES))
+def test_substituted_solve_agrees_across_executions(capsys, name):
+    flags, system, key = SUBSTITUTED_SOLVES[name]
+    reports = {}
+    for execution in ("analytic", "sampled"):
+        status, out, err = run_cli(capsys, ["solve", *flags,
+                                            "--execution", execution])
+        assert status == 0, err
+        reports[execution] = report_values(out)
+    masked = hecrypt.encrypt(system, hecrypt.MaskKey(key))
+    ideal = hhl.classical_solve(hhl.LinearSystem(masked.a_matrix,
+                                                 masked.b_prime))
+    point = qsim.bloch_point(ideal / np.linalg.norm(ideal))
+    sampled = reports["sampled"]
+    # fidelity = (1 + r . ideal point) / 2, so its sigma follows the sigmas
+    sigma = 0.5 * math.sqrt(sum(
+        (p * sampled[f"sigma_{axis}"]) ** 2 for p, axis in zip(point, "xyz")))
+    assert sigma > 0
+    assert abs(reports["analytic"]["fidelity_vs_ideal"]
+               - sampled["fidelity_vs_ideal"]) <= 5 * sigma
 
 
 # ---------------------------------------------------------------------------

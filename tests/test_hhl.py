@@ -84,7 +84,8 @@ def test_eigen_reconstruction_random():
         m = rng.normal(size=(2, 2))
         a = (m + m.T) / 2
         eig = eigendecompose(a)
-        assert np.max(np.abs(eig.reconstruct() - a)) < 1e-10
+        rebuilt = eig.r.T @ np.diag(eig.lambdas) @ eig.r
+        assert np.max(np.abs(rebuilt - a)) < 1e-10
         assert np.allclose(eig.r @ eig.r.T, np.eye(2), atol=1e-12)
         lead = [eig.r[i, 0] if abs(eig.r[i, 0]) > 1e-12 else eig.r[i, 1]
                 for i in range(2)]
@@ -367,8 +368,9 @@ def test_extract_solution_scaled_identity():
 
 def test_extract_solution_rejects_zero_probability():
     with pytest.raises(SolverError):
-        extract_solution(np.array([1.0, 0.0]), 0.0, 1.0,
-                         c_value=1.0, b_unit=np.array([1.0, 0.0]))
+        extract_solution(qsim.PauliExpectations(z=1.0, x=0.0, y=0.0), 0.0,
+                         1.0, c_value=1.0, b_unit=np.array([1.0, 0.0]),
+                         ideal=np.array([1.0, 0.0]))
 
 
 def test_solution_invariants():

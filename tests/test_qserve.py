@@ -11,6 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhesolve import circ, fixtures, hhl, qserve, qsim
 from qhesolve.qserve import (Job, ServerError,
@@ -403,6 +405,19 @@ def test_malformed_frame_keeps_connection_open(server):
         assert json.loads(raw)["id"] == "after"
 
 
+@pytest.mark.parametrize("frame", [
+    b"[" * 100_000, b'{"id": "x", "circuit": ' + b"[" * 100_000],
+    ids=["array", "in_job"])
+def test_nested_json_frame_gets_one_bad_request(frame, server):
+    assert qserve.handle_request(frame)["error"] == "bad_request"
+    with socket.create_connection(server.address, timeout=5.0) as sock:
+        sock.sendall(struct.pack(">I", len(frame)) + frame)
+        assert json.loads(qserve.recv_frame(sock))["error"] == "bad_request"
+        # exactly one reply, and the same connection serves the next job
+        qserve.send_frame(sock, Job(id="after", circuit=BELL).to_payload())
+        assert json.loads(qserve.recv_frame(sock))["id"] == "after"
+
+
 def test_oversized_frame_answered_then_closed(server):
     with socket.create_connection(server.address, timeout=5.0) as sock:
         sock.sendall(struct.pack(">I", qserve.MAX_FRAME_BYTES + 1))
@@ -481,6 +496,7 @@ def test_server_never_imports_key_material():
 
 MALFORMED = {
     "noise_p_not_numeric": {"noise_p": "high"},
+    "noise_p_overflowing": {"noise_p": 10**400},
     "basis_without_qubit": {"bases": [{"basis": "Z"}]},
     "negative_seed": {"seed": -1},
     "circuit_not_string": {"circuit": 42},
@@ -540,3 +556,80 @@ def test_in_process_submit_matches_server(server):
     assert submit(None, job) == submit(server.address, job)
     with pytest.raises(ServerError, match="parse_error"):
         submit(None, Job(id="x", circuit="qubits 1\nq q0\n"))
+
+
+# ---------------------------------------------------------------------------
+# one frame in, one frame out: handle_request answers every JSON value
+# ---------------------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=16)
+# near-miss requests: a valid id and circuit, every other field of the wire
+# format well-typed, at an extreme, or any JSON value
+ODD = st.sampled_from([True, -1, 0, 2**63, 10**30, -10**400, math.inf,
+                       math.nan, "", "Z", [], {}]) | JSON_VALUES
+JOB_LIKE = st.fixed_dictionaries(
+    {"id": st.just("p"), "circuit": st.just(BELL)},
+    optional={
+        "mode": st.sampled_from(["analytic", "sampled"]) | ODD,
+        "shots": st.integers(1, 64) | ODD,
+        "seed": st.integers(0, 64) | ODD,
+        "postselect": st.fixed_dictionaries({"qubit": ODD, "outcome": ODD})
+        | ODD,
+        "bases": st.lists(st.fixed_dictionaries(
+            {"basis": st.sampled_from("ZXYW") | ODD, "qubit": ODD}),
+            max_size=3) | ODD,
+        "noise_p": st.floats(0, 0.5) | ODD,
+    })
+# token soup of up to 8 lines: a first statement, then gates with one or two
+# operand tokens, or any statement name with up to three
+OPERAND = st.sampled_from((
+    "q0", "q1", "q9", "q-1", "q\u00b2", "\u00b2", "\u0663", "0", "2", "11",
+    "-1", "1" * 5000, "q" + "1" * 5000, "state", "\r", "\u00e9"))
+LINES = st.one_of(
+    st.tuples(st.sampled_from(("h", "x", "sdg", "t", "ry(0.5)", "ry(nan)",
+                               "ry(1e400)", "ry()", "measure")),
+              OPERAND).map(" ".join),
+    st.tuples(st.just("cx"), OPERAND, OPERAND).map(" ".join),
+    st.tuples(st.sampled_from(("qubits", "h", "cx", "role", "#", "")),
+              st.lists(OPERAND, max_size=3)
+              ).map(lambda t: " ".join((t[0], *t[1]))))
+FIRST = st.one_of(st.just("qubits 2"),
+                  st.tuples(st.just("qubits"), OPERAND).map(" ".join), LINES)
+SOUP = st.tuples(FIRST, st.lists(LINES, max_size=7)
+                 ).map(lambda t: "\n".join((t[0], *t[1])))
+SOUP_JOBS = st.fixed_dictionaries(
+    {"id": st.just("p"), "circuit": SOUP,
+     "mode": st.sampled_from(["analytic", "sampled"]),
+     "shots": st.just(16), "seed": st.just(1)},
+    optional={"postselect": st.just({"qubit": 1, "outcome": 1}),
+              "noise_p": st.just(0.01)})
+
+
+def answers_once(payload):
+    response = qserve.handle_request(json.dumps(payload).encode("utf-8"))
+    assert isinstance(response, dict)
+    assert ("error" in response) != ("amplitudes" in response
+                                     or "results" in response)
+    assert len(json.dumps(response)) <= qserve.MAX_FRAME_BYTES
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    # every accepted job stops at the simulator, so no case allocates a state
+    def refuse(*args):
+        raise qsim.SimulationError("simulation disabled in this test")
+
+    monkeypatch.setattr(qsim, "run_statevector", refuse)
+    monkeypatch.setattr(qsim, "run_density", refuse)
+
+
+@pytest.mark.parametrize("values", [JSON_VALUES, JOB_LIKE, SOUP_JOBS],
+                         ids=["json_value", "job_like", "token_soup"])
+def test_every_request_gets_one_response(values, no_simulation):
+    settings(derandomize=True, deadline=None, database=None,
+             max_examples=300)(given(values)(answers_once))()

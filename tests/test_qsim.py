@@ -331,7 +331,7 @@ def test_analytic_purity_after_postselection():
         circuit = hhl.build_optimized_circuit(eig, b, hhl.SolverConfig())
         post, _ = postselect(run_statevector(circuit), 2, 1)
         e = analytic_expectations(post, 0)
-        assert e.bloch_norm_sq() == pytest.approx(1.0, abs=1e-9)
+        assert e.x ** 2 + e.y ** 2 + e.z ** 2 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sampled_vs_analytic_expectations():
