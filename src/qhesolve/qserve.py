@@ -268,7 +268,11 @@ def handle_request(payload_bytes: bytes) -> dict:
             raise ValueError("payload must be a JSON object")
     except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         return {"error": "bad_request", "detail": f"undecodable payload: {exc}"}
-    response = execute_job(payload)
+    try:
+        response = execute_job(payload)
+    except MemoryError as exc:
+        response = {"id": payload.get("id"), "error": "execution_error",
+                    "detail": f"out of memory: {exc}"}
     log.info("job id=%s mode=%s -> %s", payload.get("id"), payload.get("mode"),
              "error" if "error" in response else "ok")
     return response
@@ -379,7 +383,7 @@ def _parse_address(server: tuple[str, int] | str) -> tuple[str, int]:
     if isinstance(server, tuple):
         return server
     host, _, port = server.rpartition(":")
-    if not host or not port.isdigit():
+    if not host or not port.isdecimal():
         raise TransportError(f"bad server address {server!r}; want host:port")
     return host, int(port)
 

@@ -6,9 +6,15 @@ Conventions, fixed across the package:
   - all randomness flows through numpy's default_rng (PCG64), seeded
     explicitly, so sampled results are stable across runs and releases;
   - operations are pure: they return new values and never mutate inputs.
+
+Statevectors evolve through one fused kernel, _evolve, on a flat (2^n,) or
+(2^n, k) array: each run of single-qubit gates on a qubit, up to a cx on it,
+is one 2x2 GEMM; each cx is one take() with a row permutation cached read-only
+(under 1.5 MB for all pairs up to 10 qubits). Density matrices go gate by gate.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -197,6 +203,40 @@ def _apply_gate_density(tensor: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     return _apply_single(tensor, gate_matrix(gate).conj(), gate.qubit + n)
 
 
+def _fused(gates):
+    """(control, target) per cx; (qubit, 2x2 product) per run up to a cx on it."""
+    runs: dict[int, np.ndarray] = {}
+    for gate in gates:
+        if gate.kind == "cx":
+            yield from ((q, runs.pop(q)) for q in gate.qubits if q in runs)
+            yield gate.control, gate.target
+        else:
+            u = gate_matrix(gate)
+            runs[gate.qubit] = u @ runs[gate.qubit] if gate.qubit in runs else u
+    yield from runs.items()
+
+
+@functools.cache
+def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
+    """Row permutation of a cx on n qubits (read-only; 8 * 2^n bytes)."""
+    rows = np.arange(1 << n)
+    perm = rows ^ (((rows >> (n - 1 - control)) & 1) << (n - 1 - target))
+    perm.flags.writeable = False
+    return perm
+
+
+def _evolve(amps: np.ndarray, n: int, gates) -> np.ndarray:
+    """The gates applied to a (2^n,) state or each column of a (2^n, k) array."""
+    for q, op in _fused(gates):
+        if isinstance(op, np.ndarray):  # view as (2^q, 2, rest), qubit q first
+            rows = amps.reshape(1 << q, 2, -1).swapaxes(0, 1)
+            out = op @ rows.reshape(2, -1)
+            amps = out.reshape(rows.shape).swapaxes(0, 1).reshape(amps.shape)
+        else:
+            amps = amps.take(_cnot_perm(n, q, op), axis=0)
+    return amps
+
+
 def apply_gate(state: StateVector | DensityMatrix, gate: Gate):
     """Apply one gate (U rho U^dag to a density matrix); indices are checked,
     the norm (trace) is preserved."""
@@ -205,9 +245,7 @@ def apply_gate(state: StateVector | DensityMatrix, gate: Gate):
     if isinstance(state, DensityMatrix):
         return DensityMatrix(state.n_qubits, _apply_gate_density(
             state.tensor, gate, state.n_qubits))
-    tensor = state.amps.reshape([2] * state.n_qubits)
-    tensor = _apply_gate_tensor(tensor, gate)
-    return StateVector(state.n_qubits, tensor.reshape(-1))
+    return StateVector(state.n_qubits, _evolve(state.amps, state.n_qubits, [gate]))
 
 
 def run_statevector(circuit: Circuit,
@@ -218,10 +256,8 @@ def run_statevector(circuit: Circuit,
     if initial.n_qubits != circuit.n_qubits:
         raise SimulationError(
             f"circuit has {circuit.n_qubits} qubits, state has {initial.n_qubits}")
-    tensor = initial.amps.reshape([2] * circuit.n_qubits)
-    for gate in circuit.gates:
-        tensor = _apply_gate_tensor(tensor, gate)
-    return StateVector(circuit.n_qubits, tensor.reshape(-1))
+    return StateVector(circuit.n_qubits,
+                       _evolve(initial.amps, circuit.n_qubits, circuit.gates))
 
 
 def run_density(circuit: Circuit, noise_p: float) -> DensityMatrix:
@@ -247,17 +283,13 @@ def run_density(circuit: Circuit, noise_p: float) -> DensityMatrix:
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full 2^n x 2^n matrix of the circuit (n <= 6)."""
+    """Full 2^n x 2^n matrix of the circuit (n <= 6); column j is the image of
+    basis state j."""
     n = circuit.n_qubits
     if n > MAX_UNITARY_QUBITS:
         raise SimulationError(
             f"circuit_unitary supports at most {MAX_UNITARY_QUBITS} qubits")
-    dim = 2 ** n
-    # Columns are basis-state images; one trailing axis carries the column index.
-    tensor = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
-    for gate in circuit.gates:
-        tensor = _apply_gate_tensor(tensor, gate)
-    return tensor.reshape(dim, dim)
+    return _evolve(np.eye(2 ** n, dtype=complex), n, circuit.gates)
 
 
 def phase_distance(u: np.ndarray, v: np.ndarray) -> float:

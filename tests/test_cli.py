@@ -100,6 +100,14 @@ def test_solve_against_running_server(capsys, server):
     assert values["solution_2"] == pytest.approx(-SQ2, abs=1e-6)
 
 
+def test_superscript_server_port_exits_one(capsys):
+    status, out, err = run_cli(capsys, [
+        "solve", "--fixture", "eq7", "--key", "1,0",
+        "--server", "127.0.0.1:\u00b2"])
+    assert (status, out) == (1, "")
+    assert err.startswith("error: bad server address")
+
+
 def test_solve_key_seed_generates_key(capsys):
     argv = ["solve", "--fixture", "eq7", "--key-seed", "4",
             "--mode", "exact", "--execution", "analytic"]

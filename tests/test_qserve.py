@@ -388,6 +388,12 @@ def test_submit_to_closed_port_raises():
         submit(("127.0.0.1", 1), Job(id="x", circuit=BELL), timeout=2.0)
 
 
+def test_superscript_port_is_a_bad_address():
+    # str.isdigit() accepts "²", which int() refuses
+    with pytest.raises(TransportError, match="bad server address"):
+        submit("127.0.0.1:²", Job(id="x", circuit=BELL))
+
+
 def test_submit_surfaces_server_errors(server):
     with pytest.raises(ServerError, match="parse_error"):
         submit(server.address, Job(id="x", circuit="qubits 1\nq q0\n"))
@@ -416,6 +422,32 @@ def test_nested_json_frame_gets_one_bad_request(frame, server):
         # exactly one reply, and the same connection serves the next job
         qserve.send_frame(sock, Job(id="after", circuit=BELL).to_payload())
         assert json.loads(qserve.recv_frame(sock))["id"] == "after"
+
+
+def test_memory_error_gets_one_execution_error(monkeypatch, server):
+    run_statevector = qsim.run_statevector
+
+    def out_of_memory(circuit, *args):
+        if circuit.n_qubits == 3:
+            raise MemoryError("statevector")
+        return run_statevector(circuit, *args)
+
+    # the server thread shares this module, so the patch covers TCP too
+    monkeypatch.setattr(qsim, "run_statevector", out_of_memory)
+    job = Job(id="oom", circuit="qubits 3\nh q0\n")
+    frame = json.dumps(job.to_payload()).encode()
+    assert qserve.handle_request(frame) == {
+        "id": "oom", "error": "execution_error",
+        "detail": "out of memory: statevector"}
+    with pytest.raises(ServerError, match="execution_error"):
+        submit(None, job)
+    with socket.create_connection(server.address, timeout=5.0) as sock:
+        qserve.send_frame(sock, job.to_payload())
+        assert json.loads(qserve.recv_frame(sock))["error"] == "execution_error"
+        # exactly one reply, and the same connection serves the next job
+        qserve.send_frame(sock, Job(id="after", circuit=BELL).to_payload())
+        after = json.loads(qserve.recv_frame(sock))
+        assert after["id"] == "after" and "error" not in after
 
 
 def test_oversized_frame_answered_then_closed(server):

@@ -157,6 +157,86 @@ def test_random_circuits_against_kron_oracle():
         assert np.allclose(state.amps, full[:, 0], atol=1e-10)
 
 
+def kron_matrix(gate, n):
+    """The gate's full 2^n matrix from kron products and bit arithmetic."""
+    dim = 2 ** n
+    if gate.kind == "cx":
+        mat = np.zeros((dim, dim), dtype=complex)
+        for idx in range(dim):
+            bits = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
+            if bits[gate.control]:
+                bits[gate.target] ^= 1
+            mat[sum(bit << (n - 1 - q) for q, bit in enumerate(bits)), idx] = 1
+        return mat
+    ops = [I2] * n
+    ops[gate.qubit] = qsim.gate_matrix(gate)
+    mat = ops[0]
+    for op in ops[1:]:
+        mat = np.kron(mat, op)
+    return mat
+
+
+def random_single(rng, q):
+    kind = rng.choice(list(circ.SINGLE_QUBIT_KINDS) + ["ry"])
+    if kind == "ry":
+        return ry(float(rng.uniform(-3, 3)), q)
+    return circ.Gate(str(kind), (q,))
+
+
+def random_state(rng, n):
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    return StateVector.from_amplitudes(amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_fused_runs_against_kron_oracle(n):
+    # Runs of 3-5 single-qubit gates on one qubit between cxs, half the cxs
+    # on the outermost qubits, from a random state: the fusion's worst cases.
+    rng = np.random.default_rng(1200 + n)
+    for _ in range(4):
+        gates = []
+        while len(gates) < 60:
+            q = int(rng.integers(n))
+            gates += [random_single(rng, q) for _ in range(rng.integers(3, 6))]
+            if n > 1:
+                pair = ((0, n - 1) if rng.random() < 0.5
+                        else rng.choice(n, size=2, replace=False))
+                a, b = (int(v) for v in rng.permutation(pair))
+                gates.append(cx(a, b))
+        initial = random_state(rng, n)
+        expected = initial.amps
+        for gate in gates:
+            expected = kron_matrix(gate, n) @ expected
+        state = run_statevector(Circuit(n, gates), initial)
+        assert np.allclose(state.amps, expected, rtol=0, atol=1e-12)
+
+
+def test_run_is_flushed_only_before_a_cx_on_its_qubit():
+    s_mat = qsim.GATE_MATRICES["s"]
+    t_mat = qsim.GATE_MATRICES["t"]
+    gates = [h(0), t(0), h(1), cx(1, 2), circ.s(0), cx(0, 1), x(0), h(2)]
+    ops = list(qsim._fused(gates))
+    # h t s on qubit 0 spans cx(1, 2) and ends at cx(0, 1)
+    assert [(a, b if isinstance(b, int) else None) for a, b in ops] == [
+        (1, None), (1, 2), (0, None), (0, 1), (0, None), (2, None)]
+    for (_, got), want in zip(ops[::2], (H, s_mat @ t_mat @ H, X)):
+        assert np.allclose(got, want, atol=1e-15)
+    initial = random_state(np.random.default_rng(5), 3)
+    expected = initial.amps
+    for gate in gates:
+        expected = kron_matrix(gate, 3) @ expected
+    state = run_statevector(Circuit(3, gates), initial)
+    assert np.allclose(state.amps, expected, rtol=0, atol=1e-12)
+
+
+def test_cnot_permutation_is_cached_read_only():
+    perm = qsim._cnot_perm(3, 0, 2)
+    assert perm is qsim._cnot_perm(3, 0, 2)
+    assert not perm.flags.writeable
+    with pytest.raises(ValueError):
+        perm[0] = 1
+
+
 # ---------------------------------------------------------------------------
 # circuit_unitary
 # ---------------------------------------------------------------------------
@@ -197,6 +277,21 @@ def test_unitary_is_unitary_for_random_circuits():
                 gates.append(circ.Gate(kind, (int(rng.integers(n)),)))
         u = circuit_unitary(Circuit(n, gates))
         assert qsim.is_unitary(u, tol=1e-10)
+
+
+def test_unitary_columns_match_basis_state_runs():
+    rng = np.random.default_rng(77)
+    for n in range(1, qsim.MAX_UNITARY_QUBITS + 1):
+        gates = [random_single(rng, int(rng.integers(n))) for _ in range(30)]
+        if n > 1:
+            gates[::4] = [cx(*(int(q) for q in rng.choice(n, 2, replace=False)))
+                          for _ in gates[::4]]
+        circuit = Circuit(n, gates)
+        u = circuit_unitary(circuit)
+        for j in range(2 ** n):
+            basis = StateVector.from_amplitudes(np.eye(2 ** n)[j])
+            column = run_statevector(circuit, basis).amps
+            assert np.allclose(u[:, j], column, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
