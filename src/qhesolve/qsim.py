@@ -7,10 +7,11 @@ Conventions, fixed across the package:
     explicitly, so sampled results are stable across runs and releases;
   - operations are pure: they return new values and never mutate inputs.
 
-Statevectors evolve through one fused kernel, _evolve, on a flat (2^n,) or
-(2^n, k) array: each run of single-qubit gates on a qubit, up to a cx on it,
-is one 2x2 GEMM; each cx is one take() with a row permutation cached read-only
-(under 1.5 MB for all pairs up to 10 qubits). Density matrices go gate by gate.
+Every kernel views qubit q of a (2^n, ...) array as (2^q, 2, rest) and
+applies a cx as one take() with a cached read-only row permutation (under
+1.5 MB for all pairs up to 10 qubits). _evolve fuses each run of single-qubit
+gates on a qubit, up to a cx on it, into one 2x2 GEMM on a (2^n,) or (2^n, k)
+statevector array; a (2^n, 2^n) density matrix takes gate, then noise, in turn.
 """
 from __future__ import annotations
 
@@ -112,14 +113,14 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Mixed state as a 2n-axis tensor: n row axes, then n column axes."""
+    """Mixed state as a (2^n, 2^n) matrix, indexed like StateVector.amps."""
 
     n_qubits: int
-    tensor: np.ndarray
+    matrix: np.ndarray
 
     def probabilities(self) -> np.ndarray:
-        dim = 2 ** self.n_qubits  # clip: rounding can leave -1e-18
-        return np.diagonal(self.tensor.reshape(dim, dim)).real.clip(0.0)
+        # clip: rounding can leave -1e-18
+        return np.diagonal(self.matrix).real.clip(0.0)
 
 
 @dataclass(frozen=True)
@@ -171,38 +172,6 @@ def _check_qubit(n_qubits: int, qubit: int):
         raise SimulationError(f"qubit {qubit} out of range for {n_qubits} qubits")
 
 
-def _apply_single(tensor: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:
-    # tensor has one axis per qubit (extra trailing axes pass through)
-    moved = np.tensordot(u, tensor, axes=([1], [qubit]))
-    return np.moveaxis(moved, 0, qubit)
-
-
-def _apply_cnot(tensor: np.ndarray, control: int, target: int) -> np.ndarray:
-    def branch(cv, tv):
-        idx = [slice(None)] * tensor.ndim
-        idx[control], idx[target] = cv, tv
-        return tuple(idx)
-
-    out = tensor.copy()
-    out[branch(1, 0)] = tensor[branch(1, 1)]
-    out[branch(1, 1)] = tensor[branch(1, 0)]
-    return out
-
-
-def _apply_gate_tensor(tensor: np.ndarray, gate: Gate) -> np.ndarray:
-    if gate.kind == "cx":
-        return _apply_cnot(tensor, gate.control, gate.target)
-    return _apply_single(tensor, gate_matrix(gate), gate.qubit)
-
-
-def _apply_gate_density(tensor: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    # U rho U^dag: U on the row axes, conj(U) on the column axes
-    tensor = _apply_gate_tensor(tensor, gate)
-    if gate.kind == "cx":
-        return _apply_cnot(tensor, gate.control + n, gate.target + n)
-    return _apply_single(tensor, gate_matrix(gate).conj(), gate.qubit + n)
-
-
 def _fused(gates):
     """(control, target) per cx; (qubit, 2x2 product) per run up to a cx on it."""
     runs: dict[int, np.ndarray] = {}
@@ -237,14 +206,28 @@ def _evolve(amps: np.ndarray, n: int, gates) -> np.ndarray:
     return amps
 
 
+def _conjugate(rho: np.ndarray, n: int, gate: Gate) -> np.ndarray:
+    """A fresh U rho U^dag: U on the rows, conj(U) on the columns."""
+    if gate.kind == "cx":
+        perm = _cnot_perm(n, gate.control, gate.target)
+        return rho.take(perm, 0).take(perm, 1)
+    u, q, rest = gate_matrix(gate), gate.qubit, 1 << (n - 1 - gate.qubit)
+    rho = (u @ rho.reshape(1 << q, 2, -1)).reshape(rho.shape)
+    if rest > 32:
+        return (u.conj() @ rho.reshape(-1, 2, rest)).reshape(rho.shape)
+    # runs of <= 32 columns: one GEMM by U^dag (x) I_rest beats a 2x2 one per run
+    right = (u.conj().T[:, None, :, None] * np.eye(rest)[:, None]).reshape(2 * rest, -1)
+    return (rho.reshape(-1, 2 * rest) @ right).reshape(rho.shape)
+
+
 def apply_gate(state: StateVector | DensityMatrix, gate: Gate):
     """Apply one gate (U rho U^dag to a density matrix); indices are checked,
     the norm (trace) is preserved."""
     for q in gate.qubits:
         _check_qubit(state.n_qubits, q)
     if isinstance(state, DensityMatrix):
-        return DensityMatrix(state.n_qubits, _apply_gate_density(
-            state.tensor, gate, state.n_qubits))
+        return DensityMatrix(state.n_qubits, _conjugate(
+            state.matrix, state.n_qubits, gate))
     return StateVector(state.n_qubits, _evolve(state.amps, state.n_qubits, [gate]))
 
 
@@ -267,19 +250,19 @@ def run_density(circuit: Circuit, noise_p: float) -> DensityMatrix:
     [0, 0.5]: the mean of qserve.apply_depolarizing's trajectories, exactly.
     Cost is O(gates * 4^n) whatever the shot count."""
     n = circuit.n_qubits
-    tensor = np.zeros((2,) * (2 * n), dtype=complex)
-    tensor[(0,) * (2 * n)] = 1.0
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    rho[0, 0] = 1.0
     keep, mix = 1.0 - 4.0 * noise_p / 3.0, 2.0 * noise_p / 3.0
     for gate in circuit.gates:
-        tensor = _apply_gate_density(tensor, gate, n)
+        rho = _conjugate(rho, n, gate)  # fresh, so the channel works in place
         for q in gate.qubits:
-            blocks = np.moveaxis(tensor, (q, q + n), (0, 1))
-            out = keep * blocks
-            traced = mix * (blocks[0, 0] + blocks[1, 1])
-            out[0, 0] += traced
-            out[1, 1] += traced
-            tensor = np.moveaxis(out, (0, 1), (q, q + n))
-    return DensityMatrix(n, tensor)
+            rest = 1 << (n - 1 - q)
+            blocks = rho.reshape(1 << q, 2, rest, 1 << q, 2, rest)
+            traced = mix * (blocks[:, 0, :, :, 0] + blocks[:, 1, :, :, 1])
+            blocks *= keep
+            blocks[:, 0, :, :, 0] += traced
+            blocks[:, 1, :, :, 1] += traced
+    return DensityMatrix(n, rho)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -325,11 +308,9 @@ def postselect(state: StateVector, qubit: int, outcome: int) -> tuple[StateVecto
     _check_qubit(state.n_qubits, qubit)
     if outcome not in (0, 1):
         raise SimulationError("outcome must be 0 or 1")
-    tensor = state.amps.reshape([2] * state.n_qubits)
-    kept = np.zeros_like(tensor)
-    idx = [slice(None)] * state.n_qubits
-    idx[qubit] = outcome
-    kept[tuple(idx)] = tensor[tuple(idx)]
+    amps = state.amps.reshape(1 << qubit, 2, -1)
+    kept = np.zeros_like(amps)
+    kept[:, outcome] = amps[:, outcome]
     prob = float(np.sum(np.abs(kept) ** 2))
     if prob <= 1e-12:
         raise ZeroProbabilityError(
@@ -374,9 +355,8 @@ def pauli_expectations(z_counts: Counts, x_counts: Counts, y_counts: Counts,
 def reduced_density(state: StateVector, qubit: int) -> np.ndarray:
     """2x2 reduced density matrix of one qubit."""
     _check_qubit(state.n_qubits, qubit)
-    tensor = state.amps.reshape([2] * state.n_qubits)
-    moved = np.moveaxis(tensor, qubit, 0).reshape(2, -1)
-    return moved @ moved.conj().T
+    rows = state.amps.reshape(1 << qubit, 2, -1).swapaxes(0, 1).reshape(2, -1)
+    return rows @ rows.conj().T
 
 
 def analytic_expectations(state: StateVector, qubit: int) -> PauliExpectations:

@@ -210,9 +210,23 @@ def kraus_distribution(circuit, p, basis, qubit):
     return np.real(np.diag(rho))
 
 
-@pytest.mark.parametrize("fixture", ["eq7", "eq8"])
-def test_channel_matches_kraus_sum(fixture):
-    circuit = circ.parse_text(compiled_replica_text(fixture))
+def general_circuit_text(m):
+    config = hhl.SolverConfig(eigen_register_bits=m)
+    return circ.emit_text(
+        hhl.build_general_circuit(fixtures.FIXTURES["eq7"](), config))
+
+
+@pytest.mark.parametrize("circuit_text", [
+    pytest.param(functools.partial(compiled_replica_text, "eq7"), id="eq7"),
+    pytest.param(functools.partial(compiled_replica_text, "eq8"), id="eq8"),
+    # 5 qubits with cx targets 0 and 4: views where 2^q and rest exceed 1
+    pytest.param(functools.partial(general_circuit_text, 3), id="general_m3"),
+    # qubit 0 of 7: its columns come in runs of 64 entries, the longest kind
+    pytest.param(lambda: "qubits 7\nh q0\nry(0.4) q6\ncx q0 q6\ncx q6 q0\n"
+                 "sdg q0\n", id="seven_qubits"),
+])
+def test_channel_matches_kraus_sum(circuit_text):
+    circuit = circ.parse_text(circuit_text())
     for p in (0.02, 0.3):
         rho = qsim.run_density(circuit, p)
         for basis in "ZXY":
@@ -529,12 +543,18 @@ def test_server_never_imports_key_material():
 MALFORMED = {
     "noise_p_not_numeric": {"noise_p": "high"},
     "noise_p_overflowing": {"noise_p": 10**400},
+    "noise_p_string": {"noise_p": "0.1"},
+    "noise_p_boolean": {"noise_p": False},
     "basis_without_qubit": {"bases": [{"basis": "Z"}]},
     "negative_seed": {"seed": -1},
     "circuit_not_string": {"circuit": 42},
     "shots_boolean": {"shots": True},
     "basis_qubit_outside_circuit": {"bases": [{"basis": "Z", "qubit": 3}]},
     "basis_qubit_infinite": {"bases": [{"basis": "Z", "qubit": math.inf}]},
+    "basis_qubit_float": {"bases": [{"basis": "Z", "qubit": 0.99}]},
+    "postselect_qubit_float": {"postselect": {"qubit": 0.7, "outcome": 1}},
+    "postselect_outcome_boolean": {"postselect": {"qubit": 0,
+                                                  "outcome": True}},
     "postselect_qubit_infinite": {"postselect": {"qubit": math.inf,
                                                  "outcome": 1}},
     "postselect_qubit_outside_circuit": {"postselect": {"qubit": 5,
@@ -665,3 +685,23 @@ def no_simulation(monkeypatch):
 def test_every_request_gets_one_response(values, no_simulation):
     settings(derandomize=True, deadline=None, database=None,
              max_examples=300)(given(values)(answers_once))()
+
+
+@pytest.mark.parametrize("values", [JSON_VALUES, JOB_LIKE],
+                         ids=["json_value", "job_like"])
+def test_every_request_gets_one_response_over_tcp(values, no_simulation,
+                                                  monkeypatch, server):
+    with socket.create_connection(server.address, timeout=5.0) as sock:
+        def answers_once_over_tcp(payload):
+            qserve.send_frame(sock, payload)
+            # the in-process answer to the same bytes: this frame's reply
+            assert json.loads(qserve.recv_frame(sock)) == qserve.handle_request(
+                json.dumps(payload, sort_keys=True).encode("utf-8"))
+
+        settings(derandomize=True, deadline=None, database=None,
+                 max_examples=50)(given(values)(answers_once_over_tcp))()
+        # no frame is left over, and the connection serves a real job
+        monkeypatch.undo()
+        qserve.send_frame(sock, Job(id="after", circuit=BELL).to_payload())
+        after = json.loads(qserve.recv_frame(sock))
+        assert after["id"] == "after" and "amplitudes" in after
