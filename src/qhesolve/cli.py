@@ -182,8 +182,8 @@ def _job_from_args(args, circuit_text: str) -> qserve.Job:
         shots=args.shots if args.execution == "sampled" else None,
         seed=args.seed if args.execution == "sampled" else None,
         postselect=postselect,
-        bases=tuple(bases),
-        noise_p=args.noise_p,
+        bases=tuple(bases) if args.execution == "sampled" else (),
+        noise_p=args.noise_p or None,
     )
 
 

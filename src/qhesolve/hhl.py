@@ -551,7 +551,7 @@ def submit_solve(system: LinearSystem, config: SolverConfig,
         shots=config.shots if sampled else None,
         seed=config.seed if sampled else None,
         postselect=(ANCILLA_QUBIT, 1),
-        bases=tuple((b, STATE_QUBIT) for b in "ZXY"),
+        bases=tuple((b, STATE_QUBIT) for b in "ZXY") if sampled else (),
     )
     response = qserve.submit(server, job)
 

@@ -11,9 +11,9 @@ through the same request handling, encoded and decoded as on the wire.
 Request fields: id, circuit (text format), mode ("analytic"|"sampled"),
 shots/seed (sampled), postselect {qubit, outcome}, bases [{basis, qubit}],
 noise_p (optional, sampled only: an exact depolarizing channel after every
-gate, evolved as one density matrix per job). The MAX_* limits bound each
-job. Responses carry amplitudes + success_probability, per-basis counts with
-raw/kept totals, or error + detail.
+gate, evolved as one density matrix per job). parse_job checks each field
+and MAX_* limit first. Responses carry amplitudes + success_probability,
+per-basis counts with raw/kept totals, or error + detail.
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ class TransportError(ConnectionError):
 
 
 class ServerError(RuntimeError):
-    """Error payload returned by the server, surfaced verbatim."""
+    """An error code and detail: parse_job's refusal, or a server reply."""
 
     def __init__(self, code: str, detail: str):
         super().__init__(f"{code}: {detail}")
@@ -108,113 +108,129 @@ def apply_depolarizing(state: qsim.StateVector, p: float, qubit: int,
     return qsim.apply_gate(state, circ.Gate(kind, (qubit,)))
 
 
-def execute_job(payload: dict) -> dict:
-    """Run one job payload; returns the response payload (pure function)."""
+def _require(ok: bool, detail: str):
+    if not ok:
+        raise ServerError("bad_request", detail)
+
+
+def parse_job(payload: dict) -> tuple[Job, circ.Circuit]:
+    """Every check and limit on one job payload, in order; raises ServerError.
+
+    The Job is canonical: an analytic one has no shots, seed or bases, a
+    sampled one Z on qubit 0 by default, and noise_p is None for no noise.
+    """
     job_id = payload.get("id")
-    if not isinstance(job_id, str) or not job_id:
-        return {"error": "bad_request", "detail": "missing job id"}
-
-    def fail(code: str, detail: str) -> dict:
-        return {"id": job_id, "error": code, "detail": detail}
-
-    if not isinstance(payload.get("circuit"), str):
-        return fail("bad_request", "missing or non-text circuit")
-    if payload["circuit"].count("\n") > MAX_CIRCUIT_LINES:
-        return fail("bad_request",
-                    f"a circuit takes at most {MAX_CIRCUIT_LINES} lines")
+    _require(isinstance(job_id, str) and job_id != "", "missing job id")
+    text = payload.get("circuit")
+    _require(isinstance(text, str), "missing or non-text circuit")
+    _require(text.count("\n") <= MAX_CIRCUIT_LINES,
+             f"a circuit takes at most {MAX_CIRCUIT_LINES} lines")
     try:
-        circuit = circ.parse_text(payload["circuit"])
+        circuit = circ.parse_text(text)
     except circ.CircuitSyntaxError as exc:
-        return fail("parse_error", str(exc))
+        raise ServerError("parse_error", str(exc)) from None
     except circ.CircuitError as exc:
-        return fail("bad_circuit", str(exc))
+        raise ServerError("bad_circuit", str(exc)) from None
 
     mode = payload.get("mode", "analytic")
     postselect = payload.get("postselect")
     if postselect is not None:
         # type() is exact: JSON 0.7 and true are not qubits or outcomes
-        if not isinstance(postselect, dict) or any(
-                type(postselect.get(k)) is not int for k in ("qubit", "outcome")):
-            return fail("bad_request", "postselect needs integer qubit and outcome")
+        _require(isinstance(postselect, dict) and all(
+            type(postselect.get(k)) is int for k in ("qubit", "outcome")),
+            "postselect needs integer qubit and outcome")
         postselect = (postselect["qubit"], postselect["outcome"])
-        if postselect[1] not in (0, 1):
-            return fail("bad_request", "postselect outcome must be 0 or 1")
-        if not 0 <= postselect[0] < circuit.n_qubits:
-            return fail("bad_request", "postselect qubit outside the circuit")
+        _require(postselect[1] in (0, 1), "postselect outcome must be 0 or 1")
+        _require(0 <= postselect[0] < circuit.n_qubits,
+                 "postselect qubit outside the circuit")
     noise_p = payload.get("noise_p", 0.0)
-    if type(noise_p) not in (int, float) or not 0.0 <= noise_p <= 0.5:
-        return fail("bad_request", "noise_p must be a number in [0, 0.5]")
-    if circuit.n_qubits > MAX_QUBITS:
-        return fail("bad_request", f"a {'noisy ' if noise_p else ''}job takes "
-                    f"at most {MAX_QUBITS} qubits")
-    if noise_p and len(circuit.gates) * 4 ** circuit.n_qubits > MAX_NOISY_WORK:
-        return fail("bad_request", f"a noisy job takes at most "
-                    f"{MAX_NOISY_WORK} gates x 4^qubits")
+    _require(type(noise_p) in (int, float) and 0.0 <= noise_p <= 0.5,
+             "noise_p must be a number in [0, 0.5]")
+    _require(circuit.n_qubits <= MAX_QUBITS, f"a {'noisy ' if noise_p else ''}"
+             f"job takes at most {MAX_QUBITS} qubits")
+    _require(not noise_p or
+             len(circuit.gates) * 4 ** circuit.n_qubits <= MAX_NOISY_WORK,
+             f"a noisy job takes at most {MAX_NOISY_WORK} gates x 4^qubits")
 
+    if mode == "analytic":
+        _require(not noise_p, "a noisy job yields a mixed state, not "
+                 "amplitudes; use sampled mode")
+        return Job(job_id, text, postselect=postselect), circuit
+    _require(mode == "sampled", f"unknown mode {mode!r}")
+    shots = payload.get("shots")
+    seed = payload.get("seed")
+    # type() is exact: JSON true is a bool, not a count
+    _require(type(shots) is int and 1 <= shots <= MAX_SHOTS,
+             f"sampled mode needs 1 <= shots <= {MAX_SHOTS}")
+    _require(type(seed) is int and seed >= 0,
+             "sampled mode needs an integer seed >= 0")
+    specs = payload.get("bases")
+    if specs is None or specs == []:
+        specs = [{"basis": "Z", "qubit": 0}]
     try:
-        if mode == "analytic":
-            if noise_p:
-                return fail("bad_request", "a noisy job yields a mixed "
-                            "state, not amplitudes; use sampled mode")
+        _require(len(specs) <= MAX_BASES,
+                 f"a job takes at most {MAX_BASES} bases")
+        bases = tuple((spec["basis"], spec["qubit"]) for spec in specs)
+    except (KeyError, TypeError):
+        bases = None
+    # "" and {} hold no bases, yet are no array to default to Z either
+    _require(isinstance(specs, list) and bases is not None,
+             "each basis needs basis and qubit")
+    _require(all(type(q) is int for _, q in bases),
+             "each basis needs an integer qubit")
+    _require(all(0 <= q < circuit.n_qubits for _, q in bases),
+             "basis qubit outside the circuit")
+    _require(all(b in ("Z", "X", "Y") for b, _ in bases),
+             "each basis is Z, X or Y")
+    return Job(job_id, text, mode, shots, seed, postselect, bases,
+               float(noise_p) or None), circuit
+
+
+def execute_job(payload: dict) -> dict:
+    """Run one job payload; returns the response payload (pure function)."""
+    try:
+        job, circuit = parse_job(payload)
+        if job.mode == "analytic":
             state = qsim.run_statevector(circuit)
             success = 1.0
-            if postselect is not None:
-                state, success = qsim.postselect(state, *postselect)
+            if job.postselect is not None:
+                state, success = qsim.postselect(state, *job.postselect)
             return {
-                "id": job_id,
+                "id": job.id,
                 "amplitudes": [[float(a.real), float(a.imag)]
                                for a in state.amps],
                 "success_probability": float(success),
             }
-        if mode == "sampled":
-            shots = payload.get("shots")
-            seed = payload.get("seed")
-            # type() is exact: JSON true is a bool, not a count
-            if type(shots) is not int or not 1 <= shots <= MAX_SHOTS:
-                return fail("bad_request",
-                            f"sampled mode needs 1 <= shots <= {MAX_SHOTS}")
-            if type(seed) is not int or seed < 0:
-                return fail("bad_request",
-                            "sampled mode needs an integer seed >= 0")
-            try:
-                specs = payload.get("bases") or [{"basis": "Z", "qubit": 0}]
-                if len(specs) > MAX_BASES:
-                    return fail("bad_request",
-                                f"a job takes at most {MAX_BASES} bases")
-                bases = [(spec["basis"], spec["qubit"]) for spec in specs]
-            except (KeyError, TypeError):
-                return fail("bad_request", "each basis needs basis and qubit")
-            if any(type(q) is not int for _, q in bases):
-                return fail("bad_request", "each basis needs an integer qubit")
-            if any(not 0 <= q < circuit.n_qubits for _, q in bases):
-                return fail("bad_request", "basis qubit outside the circuit")
-            if any(b not in ("Z", "X", "Y") for b, _ in bases):
-                return fail("bad_request", "each basis is Z, X or Y")
-            # Simulate once; each basis rotates that state without noise.
-            state = (qsim.run_density(circuit, noise_p) if noise_p
-                     else qsim.run_statevector(circuit))
-            results = []
-            seeds = qsim.basis_seeds(seed, len(bases))
-            for (basis, qubit), child_seed in zip(bases, seeds):
-                rotation = circ.basis_change(basis, qubit)
-                rotated = functools.reduce(qsim.apply_gate, rotation, state)
-                counts = qsim.sample_counts(rotated, shots, child_seed)
-                kept = counts
-                if postselect is not None:
-                    kept = qsim.postselect_counts(counts, *postselect)
-                results.append({
-                    "basis": basis,
-                    "qubit": qubit,
-                    "counts": dict(sorted(kept.table.items())),
-                    "raw_shots": counts.shots,
-                    "kept_shots": kept.shots,
-                })
-            return {"id": job_id, "results": results}
-        return fail("bad_request", f"unknown mode {mode!r}")
+        # Simulate once; each basis rotates that state without noise.
+        state = (qsim.run_density(circuit, job.noise_p) if job.noise_p
+                 else qsim.run_statevector(circuit))
+        results = []
+        seeds = qsim.basis_seeds(job.seed, len(job.bases))
+        for (basis, qubit), child_seed in zip(job.bases, seeds):
+            rotation = circ.basis_change(basis, qubit)
+            rotated = functools.reduce(qsim.apply_gate, rotation, state)
+            counts = qsim.sample_counts(rotated, job.shots, child_seed)
+            kept = counts
+            if job.postselect is not None:
+                kept = qsim.postselect_counts(counts, *job.postselect)
+            results.append({
+                "basis": basis,
+                "qubit": qubit,
+                "counts": dict(sorted(kept.table.items())),
+                "raw_shots": counts.shots,
+                "kept_shots": kept.shots,
+            })
+        return {"id": job.id, "results": results}
+    except ServerError as exc:
+        error = {"error": exc.code, "detail": exc.detail}
     except qsim.ZeroProbabilityError as exc:
-        return fail("zero_probability", str(exc))
+        error = {"error": "zero_probability", "detail": str(exc)}
     except (qsim.SimulationError, circ.CircuitError) as exc:
-        return fail("execution_error", str(exc))
+        error = {"error": "execution_error", "detail": str(exc)}
+    except MemoryError as exc:
+        error = {"error": "execution_error", "detail": f"out of memory: {exc}"}
+    job_id = payload.get("id")  # echoed unless parse_job refused it first
+    return {"id": job_id, **error} if isinstance(job_id, str) and job_id else error
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +283,8 @@ def handle_request(payload_bytes: bytes) -> dict:
             raise ValueError("payload must be a JSON object")
     except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         return {"error": "bad_request", "detail": f"undecodable payload: {exc}"}
-    try:
-        response = execute_job(payload)
-    except MemoryError as exc:
-        response = {"id": payload.get("id"), "error": "execution_error",
-                    "detail": f"out of memory: {exc}"}
-    log.info("job id=%s mode=%s -> %s", payload.get("id"), payload.get("mode"),
+    response = execute_job(payload)
+    log.info("job id=%r mode=%r -> %s", payload.get("id"), payload.get("mode"),
              "error" if "error" in response else "ok")
     return response
 

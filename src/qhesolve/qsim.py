@@ -103,10 +103,6 @@ class StateVector:
             raise SimulationError("amplitude count must be a power of two")
         return cls(n, amps)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
 

@@ -2,6 +2,7 @@
 honest-but-curious boundary."""
 import functools
 import json
+import logging
 import math
 import socket
 import struct
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhesolve import circ, fixtures, hhl, qserve, qsim
+from qhesolve import circ, cli, fixtures, hhl, qserve, qsim
 from qhesolve.qserve import (Job, ServerError,
                              TransportError, apply_depolarizing, execute_job,
                              submit)
@@ -450,9 +451,10 @@ def test_memory_error_gets_one_execution_error(monkeypatch, server):
     monkeypatch.setattr(qsim, "run_statevector", out_of_memory)
     job = Job(id="oom", circuit="qubits 3\nh q0\n")
     frame = json.dumps(job.to_payload()).encode()
-    assert qserve.handle_request(frame) == {
-        "id": "oom", "error": "execution_error",
-        "detail": "out of memory: statevector"}
+    want = {"id": "oom", "error": "execution_error",
+            "detail": "out of memory: statevector"}
+    assert execute_job(job.to_payload()) == want
+    assert qserve.handle_request(frame) == want
     with pytest.raises(ServerError, match="execution_error"):
         submit(None, job)
     with socket.create_connection(server.address, timeout=5.0) as sock:
@@ -462,6 +464,17 @@ def test_memory_error_gets_one_execution_error(monkeypatch, server):
         qserve.send_frame(sock, Job(id="after", circuit=BELL).to_payload())
         after = json.loads(qserve.recv_frame(sock))
         assert after["id"] == "after" and "error" not in after
+
+
+def test_request_log_line_cannot_be_forged(caplog):
+    # under `qhesolve serve --verbose` a raw newline would start a new line
+    caplog.set_level(logging.INFO, logger="qhesolve.qserve")
+    frame = json.dumps({"id": "a\nINFO forged", "circuit": BELL,
+                        "mode": "x\ny"}).encode()
+    assert qserve.handle_request(frame)["error"] == "bad_request"
+    [record] = caplog.records
+    assert "\n" not in record.getMessage()
+    assert "'a\\nINFO forged'" in record.getMessage()
 
 
 def test_oversized_frame_answered_then_closed(server):
@@ -546,6 +559,11 @@ MALFORMED = {
     "noise_p_string": {"noise_p": "0.1"},
     "noise_p_boolean": {"noise_p": False},
     "basis_without_qubit": {"bases": [{"basis": "Z"}]},
+    # falsy, but no array: not the Z-on-qubit-0 default
+    "bases_empty_object": {"bases": {}},
+    "bases_empty_string": {"bases": ""},
+    "bases_zero": {"bases": 0},
+    "bases_false": {"bases": False},
     "negative_seed": {"seed": -1},
     "circuit_not_string": {"circuit": 42},
     "shots_boolean": {"shots": True},
@@ -705,3 +723,101 @@ def test_every_request_gets_one_response_over_tcp(values, no_simulation,
         qserve.send_frame(sock, Job(id="after", circuit=BELL).to_payload())
         after = json.loads(qserve.recv_frame(sock))
         assert after["id"] == "after" and "amplitudes" in after
+
+
+# ---------------------------------------------------------------------------
+# parse_job: every accepted payload parses to a canonical Job
+# ---------------------------------------------------------------------------
+
+def parses_back(payload):
+    try:
+        job, circuit = qserve.parse_job(payload)
+    except ServerError:
+        return
+    frame = json.dumps(job.to_payload())
+    again, circuit_again = qserve.parse_job(json.loads(frame))
+    assert again == job
+    assert circ.emit_text(circuit_again) == circ.emit_text(circuit)
+
+
+# JOB_LIKE rarely makes a valid sampled job; these are all valid
+CANONICAL_JOBS = st.builds(
+    Job, id=st.text(min_size=1, max_size=8), circuit=st.just(BELL),
+    mode=st.just("sampled"), shots=st.integers(1, qserve.MAX_SHOTS),
+    seed=st.integers(0, 2**64),
+    postselect=st.none() | st.tuples(st.integers(0, 1), st.integers(0, 1)),
+    bases=st.lists(st.tuples(st.sampled_from("ZXY"), st.integers(0, 1)),
+                   min_size=1, max_size=qserve.MAX_BASES).map(tuple),
+    noise_p=st.none() | st.floats(0, 0.5, exclude_min=True))
+
+
+def test_parsed_job_round_trips():
+    settings(derandomize=True, deadline=None, database=None,
+             max_examples=300)(given(JOB_LIKE)(parses_back))()
+
+
+def test_canonical_job_parses_to_itself():
+    def parses_to_itself(job):
+        assert qserve.parse_job(job.to_payload())[0] == job
+
+    settings(derandomize=True, deadline=None, database=None,
+             max_examples=200)(given(CANONICAL_JOBS)(parses_to_itself))()
+
+
+@pytest.mark.parametrize("bases", [{}, {"bases": None}, {"bases": []}],
+                         ids=["absent", "null", "empty_array"])
+def test_sampled_job_without_bases_measures_z_on_qubit_0(bases):
+    payload = {"id": "j", "circuit": BELL, "mode": "sampled", "shots": 8,
+               "seed": 1, **bases}
+    job, _ = qserve.parse_job(payload)
+    assert job.bases == (("Z", 0),)
+
+
+def test_analytic_job_parses_without_sampling_fields():
+    payload = {"id": "j", "circuit": BELL, "shots": 8, "seed": 1,
+               "bases": [{"basis": "X", "qubit": 1}], "noise_p": 0}
+    job, _ = qserve.parse_job(payload)
+    assert job == Job(id="j", circuit=BELL)
+
+
+@pytest.mark.parametrize("config", [
+    hhl.SolverConfig(mode="exact"),
+    hhl.SolverConfig(mode="replica", theta_override=fixtures.REPLICA_THETA,
+                     execution="sampled", shots=256, seed=3,
+                     star_center=hhl.EIGEN_QUBIT, rs_t_budget=7),
+], ids=["exact-analytic", "replica-sampled"])
+def test_solver_jobs_are_canonical(config, monkeypatch):
+    jobs = []
+    submit_job = qserve.submit
+
+    def recording(server, job, *args, **kwargs):
+        jobs.append(job)
+        return submit_job(server, job, *args, **kwargs)
+
+    monkeypatch.setattr(qserve, "submit", recording)
+    hhl.submit_solve(fixtures.eq7(), config)
+    [job] = jobs
+    assert qserve.parse_job(job.to_payload())[0] == job
+
+
+@pytest.mark.parametrize("flags", [
+    [],
+    ["--postselect", "1:1", "--basis", "X:0", "--noise-p", "0"],
+    ["--execution", "sampled", "--shots", "64", "--seed", "3",
+     "--basis", "Z:0", "--basis", "y:1", "--postselect", "1:0",
+     "--noise-p", "0.02"],
+    ["--execution", "sampled", "--basis", "X:1", "--noise-p", "0"],
+], ids=["analytic", "analytic_flags", "sampled_noisy", "sampled_noiseless"])
+def test_cli_jobs_are_canonical(flags):
+    args = cli.build_parser().parse_args(
+        ["simulate", "--circuit", "bell.qc", *flags])
+    job = cli._job_from_args(args, BELL)
+    assert qserve.parse_job(job.to_payload())[0] == job
+
+
+def test_cli_sampled_job_without_basis_gets_the_server_default():
+    args = cli.build_parser().parse_args(
+        ["simulate", "--circuit", "bell.qc", "--execution", "sampled"])
+    job = cli._job_from_args(args, BELL)
+    assert qserve.parse_job(job.to_payload())[0] == replace(
+        job, bases=(("Z", 0),))
