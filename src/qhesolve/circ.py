@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 SINGLE_QUBIT_KINDS = ("x", "y", "z", "h", "s", "sdg", "t", "tdg")
 GATE_KINDS = SINGLE_QUBIT_KINDS + ("ry", "cx")
@@ -154,7 +154,10 @@ class Circuit:
             raise CircuitError("circuit needs at least one qubit")
         self.gates = list(self.gates)
         for g in self.gates:
-            self._check_gate(g)
+            if any(q >= self.n_qubits for q in g.qubits):
+                raise CircuitError(
+                    f"gate {g.kind} touches qubit {max(g.qubits)} "
+                    f"but circuit has {self.n_qubits} qubits")
         for q, role in self.roles.items():
             if not 0 <= q < self.n_qubits:
                 raise CircuitError(f"role qubit q{q} out of range")
@@ -163,22 +166,6 @@ class Circuit:
         for q in self.measures:
             if not 0 <= q < self.n_qubits:
                 raise CircuitError(f"measure qubit q{q} out of range")
-
-    def _check_gate(self, gate: Gate):
-        if any(q >= self.n_qubits for q in gate.qubits):
-            raise CircuitError(
-                f"gate {gate.kind} touches qubit {max(gate.qubits)} "
-                f"but circuit has {self.n_qubits} qubits")
-
-    def add(self, gate: Gate) -> "Circuit":
-        self._check_gate(gate)
-        self.gates.append(gate)
-        return self
-
-    def extend(self, gates: Iterable[Gate]) -> "Circuit":
-        for g in gates:
-            self.add(g)
-        return self
 
     def ry_angles(self) -> list[float]:
         """Distinct ry angles in order of first appearance."""
@@ -306,17 +293,6 @@ def _decimal(token: str) -> int | None:
         return None
 
 
-def _parse_qubit(token: str, n_qubits: int, line_no: int, col: int) -> int:
-    q = _decimal(token[1:]) if token.startswith("q") else None
-    if q is None:
-        raise CircuitSyntaxError(f"expected qubit token, got {token!r}",
-                                 line_no, col)
-    if q >= n_qubits:
-        raise CircuitSyntaxError(
-            f"qubit q{q} out of range for {n_qubits} qubits", line_no, col)
-    return q
-
-
 def parse_text(source: str) -> Circuit:
     n_qubits = None
     gates: list[Gate] = []
@@ -325,82 +301,72 @@ def parse_text(source: str) -> Circuit:
     # lines end at "\n" only, so qserve.MAX_CIRCUIT_LINES is one str.count
     for line_no, raw in enumerate(source.split("\n"), start=1):
         line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
         # no statement has 4 tokens: a 4th holds the rest of an overlong line
         tokens = line.split(maxsplit=3)
-        columns = []
-        pos = 0
-        for tok in tokens:
-            pos = line.index(tok, pos)
-            columns.append(pos + 1)
-            pos += len(tok)
+        if not tokens:
+            continue
         head = tokens[0]
+
+        def fail(message, i=0):
+            # token i's column is found only for the error that names it
+            end = 0
+            for tok in tokens[:i + 1]:
+                start = line.index(tok, end)
+                end = start + len(tok)
+            raise CircuitSyntaxError(message, line_no, start + 1)
 
         def need(count):
             if len(tokens) != count:
-                raise CircuitSyntaxError(
-                    f"{head!r} expects {count - 1} argument(s)",
-                    line_no, columns[0])
+                fail(f"{head!r} expects {count - 1} argument(s)")
+
+        def qubit(i):
+            q = _decimal(tokens[i][1:]) if tokens[i].startswith("q") else None
+            if q is None:
+                fail(f"expected qubit token, got {tokens[i]!r}", i)
+            if q >= n_qubits:
+                fail(f"qubit q{q} out of range for {n_qubits} qubits", i)
+            return q
 
         if n_qubits is None:
             if head != "qubits":
-                raise CircuitSyntaxError("first statement must be 'qubits <n>'",
-                                         line_no, columns[0])
+                fail("first statement must be 'qubits <n>'")
             need(2)
             n_qubits = _decimal(tokens[1])
             if n_qubits is None or n_qubits < 1:
-                raise CircuitSyntaxError("qubit count must be a positive integer",
-                                         line_no, columns[1])
-            continue
-        if head == "qubits":
-            raise CircuitSyntaxError("duplicate 'qubits' statement",
-                                     line_no, columns[0])
-        if head == "measure":
+                fail("qubit count must be a positive integer", 1)
+        elif head == "qubits":
+            fail("duplicate 'qubits' statement")
+        elif head == "measure":
             need(2)
-            measures.append(_parse_qubit(tokens[1], n_qubits, line_no, columns[1]))
-            continue
-        if measures:
-            raise CircuitSyntaxError("statements after 'measure' are not allowed",
-                                     line_no, columns[0])
-        if head == "role":
+            measures.append(qubit(1))
+        elif measures:
+            fail("statements after 'measure' are not allowed")
+        elif head == "role":
             need(3)
-            q = _parse_qubit(tokens[1], n_qubits, line_no, columns[1])
+            q = qubit(1)
             if tokens[2] not in ROLES:
-                raise CircuitSyntaxError(f"unknown role {tokens[2]!r}",
-                                         line_no, columns[2])
+                fail(f"unknown role {tokens[2]!r}", 2)
             roles[q] = tokens[2]
-            continue
-        if head == "cx":
+        elif head == "cx":
             need(3)
-            c = _parse_qubit(tokens[1], n_qubits, line_no, columns[1])
-            tq = _parse_qubit(tokens[2], n_qubits, line_no, columns[2])
+            c, tq = qubit(1), qubit(2)
             if c == tq:
-                raise CircuitSyntaxError("cx control and target must differ",
-                                         line_no, columns[2])
+                fail("cx control and target must differ", 2)
             gates.append(cx(c, tq))
-            continue
-        m = _RY_RE.match(head)
-        if m:
+        elif m := _RY_RE.match(head):
             need(2)
             try:
                 angle = float(m.group("angle"))
             except ValueError:
-                raise CircuitSyntaxError(
-                    f"bad ry angle {m.group('angle')!r}", line_no, columns[0])
+                fail(f"bad ry angle {m.group('angle')!r}")
             if not math.isfinite(angle):
-                raise CircuitSyntaxError("ry angle must be finite",
-                                         line_no, columns[0])
-            gates.append(ry(angle, _parse_qubit(tokens[1], n_qubits,
-                                                line_no, columns[1])))
-            continue
-        if head in SINGLE_QUBIT_KINDS:
+                fail("ry angle must be finite")
+            gates.append(ry(angle, qubit(1)))
+        elif head in SINGLE_QUBIT_KINDS:
             need(2)
-            gates.append(Gate(head, (_parse_qubit(tokens[1], n_qubits,
-                                                  line_no, columns[1]),)))
-            continue
-        raise CircuitSyntaxError(f"unknown gate name {head!r}",
-                                 line_no, columns[0])
+            gates.append(Gate(head, (qubit(1),)))
+        else:
+            fail(f"unknown gate name {head!r}")
     if n_qubits is None:
         raise CircuitSyntaxError("empty source; expected 'qubits <n>'", 1, 1)
     return Circuit(n_qubits, gates, roles, tuple(measures))

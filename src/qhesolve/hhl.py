@@ -313,20 +313,14 @@ def build_optimized_circuit(eig: EigenDecomp, b_unit: np.ndarray,
     eigenvector branch is the rotated one.
     """
     b_unit = np.asarray(b_unit, dtype=float)
-    circuit = Circuit(3, roles={STATE_QUBIT: "state", EIGEN_QUBIT: "eigen",
-                                ANCILLA_QUBIT: "ancilla"})
-    circuit.extend(prepare_b(b_unit))
-    circuit.extend(_rotation_gates(eig.r, STATE_QUBIT))
-    circuit.add(circ.cx(STATE_QUBIT, EIGEN_QUBIT))
+    gates = prepare_b(b_unit) + _rotation_gates(eig.r, STATE_QUBIT)
+    gates.append(circ.cx(STATE_QUBIT, EIGEN_QUBIT))
     if config.mode == "exact":
         c = resolve_c(eig, config)
         theta1 = rotation_angle_exact(abs(eig.lambda1), c)
         theta2 = rotation_angle_exact(abs(eig.lambda2), c)
         # eigenvalue bit 1 <-> second eigenvector; bit 0 branch via X conjugation
-        circuit.extend(circ.decompose_cry(theta2, EIGEN_QUBIT, ANCILLA_QUBIT))
-        circuit.add(circ.x(EIGEN_QUBIT))
-        circuit.extend(circ.decompose_cry(theta1, EIGEN_QUBIT, ANCILLA_QUBIT))
-        circuit.add(circ.x(EIGEN_QUBIT))
+        branches = [(1, theta2), (0, theta1)]
     else:
         theta = rotation_angle_replica(eig, config.theta_override)
         populated = _populated_branch(eig, b_unit)
@@ -334,14 +328,14 @@ def build_optimized_circuit(eig: EigenDecomp, b_unit: np.ndarray,
         if beta[populated] ** 2 * math.sin(theta / 2.0) ** 2 < 1e-12:
             raise SolverError(
                 "replica configuration has vanishing post-selection probability")
-        if populated == 0:
-            circuit.add(circ.x(EIGEN_QUBIT))
-        circuit.extend(circ.decompose_cry(theta, EIGEN_QUBIT, ANCILLA_QUBIT))
-        if populated == 0:
-            circuit.add(circ.x(EIGEN_QUBIT))
-    circuit.add(circ.cx(STATE_QUBIT, EIGEN_QUBIT))
-    circuit.extend(circ.invert_gates(_rotation_gates(eig.r, STATE_QUBIT)))
-    return circuit
+        branches = [(populated, theta)]
+    for bit, theta in branches:
+        flip = [] if bit else [circ.x(EIGEN_QUBIT)]
+        gates += flip + circ.decompose_cry(theta, EIGEN_QUBIT, ANCILLA_QUBIT) + flip
+    gates.append(circ.cx(STATE_QUBIT, EIGEN_QUBIT))
+    gates += circ.invert_gates(_rotation_gates(eig.r, STATE_QUBIT))
+    return Circuit(3, gates, {STATE_QUBIT: "state", EIGEN_QUBIT: "eigen",
+                              ANCILLA_QUBIT: "ancilla"})
 
 
 def choose_t0(eig: EigenDecomp, m: int) -> float:
@@ -432,12 +426,10 @@ def build_general_circuit(system: LinearSystem,
 
     roles = {STATE_QUBIT: "state", ancilla: "ancilla"}
     roles.update({q: "eigen" for q in register})
-    circuit = Circuit(n_qubits, roles=roles)
-    circuit.extend(prepare_b(b_unit))
-    circuit.extend(estimation)
-    circuit.extend(uniformly_controlled_ry(register, ancilla, angles))
-    circuit.extend(circ.invert_gates(estimation))
-    return circuit
+    gates = (prepare_b(b_unit) + estimation
+             + uniformly_controlled_ry(register, ancilla, angles)
+             + circ.invert_gates(estimation))
+    return Circuit(n_qubits, gates, roles)
 
 
 def _canonical_sign(vec: np.ndarray, reference: np.ndarray) -> np.ndarray:

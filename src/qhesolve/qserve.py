@@ -41,12 +41,15 @@ DEFAULT_TIMEOUT = 30.0
 MAX_QUBITS = 10
 # rng.choice raises on 2**63 shots; at this cap a basis draws 8 MB of outcomes
 MAX_SHOTS = 1 << 20
-# parsing costs ~7 us and ~270 bytes per line
+# parsing costs ~7.5 us and ~230 bytes at peak per line
 MAX_CIRCUIT_LINES = 1 << 16
 MAX_BASES = 3 * MAX_QUBITS  # Z, X and Y on every qubit
 # run_density costs O(gates x 4^n): 128 gates at 10 qubits take ~3 s
 MAX_NOISY_WORK = 1 << 27
 MAX_CONCURRENT_JOBS = 32
+# a reply or log record quotes at most this much client text (the job id,
+# an error detail, the mode), so every reply fits in one frame
+MAX_ECHO_CHARS = 1024
 
 _PAULI_KINDS = ("x", "y", "z")
 
@@ -121,6 +124,8 @@ def parse_job(payload: dict) -> tuple[Job, circ.Circuit]:
     """
     job_id = payload.get("id")
     _require(isinstance(job_id, str) and job_id != "", "missing job id")
+    _require(len(job_id) <= MAX_ECHO_CHARS,
+             f"a job id takes at most {MAX_ECHO_CHARS} characters")
     text = payload.get("circuit")
     _require(isinstance(text, str), "missing or non-text circuit")
     _require(text.count("\n") <= MAX_CIRCUIT_LINES,
@@ -222,15 +227,17 @@ def execute_job(payload: dict) -> dict:
             })
         return {"id": job.id, "results": results}
     except ServerError as exc:
-        error = {"error": exc.code, "detail": exc.detail}
+        code, detail = exc.code, exc.detail
     except qsim.ZeroProbabilityError as exc:
-        error = {"error": "zero_probability", "detail": str(exc)}
+        code, detail = "zero_probability", str(exc)
     except (qsim.SimulationError, circ.CircuitError) as exc:
-        error = {"error": "execution_error", "detail": str(exc)}
+        code, detail = "execution_error", str(exc)
     except MemoryError as exc:
-        error = {"error": "execution_error", "detail": f"out of memory: {exc}"}
+        code, detail = "execution_error", f"out of memory: {exc}"
+    error = {"error": code, "detail": detail[:MAX_ECHO_CHARS]}
     job_id = payload.get("id")  # echoed unless parse_job refused it first
-    return {"id": job_id, **error} if isinstance(job_id, str) and job_id else error
+    echo = isinstance(job_id, str) and 0 < len(job_id) <= MAX_ECHO_CHARS
+    return {"id": job_id, **error} if echo else error
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +291,8 @@ def handle_request(payload_bytes: bytes) -> dict:
     except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         return {"error": "bad_request", "detail": f"undecodable payload: {exc}"}
     response = execute_job(payload)
-    log.info("job id=%r mode=%r -> %s", payload.get("id"), payload.get("mode"),
+    log.info("job id=%.*r mode=%.*r -> %s", MAX_ECHO_CHARS, payload.get("id"),
+             MAX_ECHO_CHARS, payload.get("mode"),
              "error" if "error" in response else "ok")
     return response
 

@@ -58,7 +58,7 @@ class CliffordTSequence:
                                 np.eye(2, dtype=complex))
 
     def to_circuit(self) -> circ.Circuit:
-        return circ.Circuit(1, [circ.Gate(g, (0,)) for g in self.gates])
+        return circ.Circuit(1, self.to_gates())
 
     def to_gates(self, qubit: int = 0) -> list[circ.Gate]:
         return [circ.Gate(g, (qubit,)) for g in self.gates]

@@ -223,6 +223,26 @@ def test_replica_mode_rejects_zero_success():
         build_optimized_circuit(eig, B_MASKED_EQ7, config)
 
 
+EXACT_GATES = ("ry0 z0 ry0 cx01 ry2 cx12 ry2 cx12 x1 ry2 cx12 ry2 cx12 x1 "
+               "cx01 ry0 z0")
+
+
+@pytest.mark.parametrize("mode, populated, want", [
+    ("exact", 0, EXACT_GATES),
+    ("exact", 1, EXACT_GATES),
+    ("replica", 0, "ry0 z0 ry0 cx01 x1 ry2 cx12 ry2 cx12 x1 cx01 ry0 z0"),
+    ("replica", 1, "ry0 z0 ry0 cx01 ry2 cx12 ry2 cx12 cx01 ry0 z0"),
+])
+def test_optimized_circuit_gate_sequence(mode, populated, want):
+    # b is an eigenvector of eq7, so it populates exactly that branch; only
+    # replica mode X-conjugates a single rotation onto eigenvalue bit 0
+    eig = eigendecompose(A_EQ7)
+    circuit = build_optimized_circuit(eig, eig.r[populated],
+                                      SolverConfig(mode=mode))
+    got = " ".join(g.kind + "".join(map(str, g.qubits)) for g in circuit.gates)
+    assert got == want
+
+
 def test_replica_angle_independence_on_eigenvector_inputs():
     rng = np.random.default_rng(42)
     for _ in range(20):

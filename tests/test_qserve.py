@@ -477,6 +477,29 @@ def test_request_log_line_cannot_be_forged(caplog):
     assert "'a\\nINFO forged'" in record.getMessage()
 
 
+def test_oversized_echo_gets_one_bad_request(caplog, server):
+    # each frame fits, but its mode's repr or its id would not fit a reply
+    caplog.set_level(logging.INFO, logger="qhesolve.qserve")
+    long_mode = {"id": "m", "circuit": BELL, "mode": "\\" * 5_000_000}
+    long_id = {"id": "x" * (qserve.MAX_FRAME_BYTES - 100), "circuit": BELL}
+    unknown_mode = f"unknown mode {long_mode['mode']!r}"
+    want = [{"id": "m", "error": "bad_request",
+             "detail": unknown_mode[:qserve.MAX_ECHO_CHARS]},
+            {"error": "bad_request", "detail": "a job id takes at most "
+             f"{qserve.MAX_ECHO_CHARS} characters"}]
+    with socket.create_connection(server.address, timeout=10.0) as sock:
+        for payload, reply in zip((long_mode, long_id), want):
+            qserve.send_frame(sock, payload)
+            assert json.loads(qserve.recv_frame(sock)) == reply
+        # exactly one reply each, and the same connection serves the next job
+        qserve.send_frame(sock, Job(id="after", circuit=BELL).to_payload())
+        after = json.loads(qserve.recv_frame(sock))
+        assert after["id"] == "after" and "amplitudes" in after
+    assert len(caplog.records) == 3
+    assert all(len(r.getMessage()) < 3 * qserve.MAX_ECHO_CHARS
+               for r in caplog.records)
+
+
 def test_oversized_frame_answered_then_closed(server):
     with socket.create_connection(server.address, timeout=5.0) as sock:
         sock.sendall(struct.pack(">I", qserve.MAX_FRAME_BYTES + 1))
@@ -642,19 +665,26 @@ JSON_VALUES = st.recursive(
 # format well-typed, at an extreme, or any JSON value
 ODD = st.sampled_from([True, -1, 0, 2**63, 10**30, -10**400, math.inf,
                        math.nan, "", "Z", [], {}]) | JSON_VALUES
-JOB_LIKE = st.fixed_dictionaries(
-    {"id": st.just("p"), "circuit": st.just(BELL)},
-    optional={
-        "mode": st.sampled_from(["analytic", "sampled"]) | ODD,
-        "shots": st.integers(1, 64) | ODD,
-        "seed": st.integers(0, 64) | ODD,
-        "postselect": st.fixed_dictionaries({"qubit": ODD, "outcome": ODD})
-        | ODD,
-        "bases": st.lists(st.fixed_dictionaries(
-            {"basis": st.sampled_from("ZXYW") | ODD, "qubit": ODD}),
-            max_size=3) | ODD,
-        "noise_p": st.floats(0, 0.5) | ODD,
-    })
+BIT = st.integers(0, 1) | ODD
+NEAR_MISS = {
+    "mode": st.sampled_from(["analytic", "sampled"]) | ODD,
+    "shots": st.integers(1, 64) | ODD,
+    "seed": st.integers(0, 64) | ODD,
+    "postselect": st.fixed_dictionaries({"qubit": BIT, "outcome": BIT}) | ODD,
+    "bases": st.lists(st.fixed_dictionaries(
+        {"basis": st.sampled_from("ZXYW") | ODD, "qubit": BIT}),
+        max_size=3) | ODD,
+    "noise_p": st.floats(0, 0.5) | ODD,
+}
+BELL_ID = {"id": st.just("p"), "circuit": st.just(BELL)}
+# half are sampled with well-typed shots and seed, so that some sampled jobs
+# pass every check
+JOB_LIKE = (st.fixed_dictionaries(BELL_ID, optional=NEAR_MISS)
+            | st.fixed_dictionaries(
+                {**BELL_ID, "mode": st.just("sampled"),
+                 "shots": st.integers(1, 64), "seed": st.integers(0, 64)},
+                optional={k: NEAR_MISS[k]
+                          for k in ("postselect", "bases", "noise_p")}))
 # token soup of up to 8 lines: a first statement, then gates with one or two
 # operand tokens, or any statement name with up to three
 OPERAND = st.sampled_from((
@@ -725,22 +755,29 @@ def test_every_request_gets_one_response_over_tcp(values, no_simulation,
         assert after["id"] == "after" and "amplitudes" in after
 
 
+def test_soup_parse_error_names_a_token():
+    def names_a_token(source):
+        try:
+            circ.parse_text(source)
+        except circ.CircuitSyntaxError as exc:
+            if "empty source" in str(exc):
+                return
+            lines = source.split("\n")
+            assert 1 <= exc.line <= len(lines)
+            line = lines[exc.line - 1]
+            starts = [i for i, ch in enumerate(line) if not ch.isspace()
+                      and (i == 0 or line[i - 1].isspace())]
+            assert exc.column - 1 in starts
+
+    settings(derandomize=True, deadline=None, database=None,
+             max_examples=300)(given(SOUP)(names_a_token))()
+
+
 # ---------------------------------------------------------------------------
 # parse_job: every accepted payload parses to a canonical Job
 # ---------------------------------------------------------------------------
 
-def parses_back(payload):
-    try:
-        job, circuit = qserve.parse_job(payload)
-    except ServerError:
-        return
-    frame = json.dumps(job.to_payload())
-    again, circuit_again = qserve.parse_job(json.loads(frame))
-    assert again == job
-    assert circ.emit_text(circuit_again) == circ.emit_text(circuit)
-
-
-# JOB_LIKE rarely makes a valid sampled job; these are all valid
+# valid sampled jobs, with shots, seed and bases over their whole ranges
 CANONICAL_JOBS = st.builds(
     Job, id=st.text(min_size=1, max_size=8), circuit=st.just(BELL),
     mode=st.just("sampled"), shots=st.integers(1, qserve.MAX_SHOTS),
@@ -752,8 +789,23 @@ CANONICAL_JOBS = st.builds(
 
 
 def test_parsed_job_round_trips():
+    modes = []
+
+    def parses_back(payload):
+        try:
+            job, circuit = qserve.parse_job(payload)
+        except ServerError:
+            return
+        frame = json.dumps(job.to_payload())
+        again, circuit_again = qserve.parse_job(json.loads(frame))
+        assert again == job
+        assert circ.emit_text(circuit_again) == circ.emit_text(circuit)
+        modes.append(job.mode)
+
     settings(derandomize=True, deadline=None, database=None,
              max_examples=300)(given(JOB_LIKE)(parses_back))()
+    # the sampled branch of parse_job is reached, not only its refusals
+    assert modes.count("sampled") >= 30
 
 
 def test_canonical_job_parses_to_itself():
