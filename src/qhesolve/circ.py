@@ -14,7 +14,6 @@ from typing import Mapping, Sequence
 
 SINGLE_QUBIT_KINDS = ("x", "y", "z", "h", "s", "sdg", "t", "tdg")
 GATE_KINDS = SINGLE_QUBIT_KINDS + ("ry", "cx")
-ROLES = ("state", "eigen", "ancilla")
 
 ANGLE_MATCH_TOL = 1e-9
 
@@ -141,13 +140,10 @@ def retarget(gates: Sequence[Gate], qubit: int) -> list[Gate]:
 
 @dataclass
 class Circuit:
-    """Ordered gate list over n_qubits, with optional role labels and
-    terminal measure declarations."""
+    """Ordered gate list over n_qubits."""
 
     n_qubits: int
     gates: list[Gate] = field(default_factory=list)
-    roles: dict[int, str] = field(default_factory=dict)
-    measures: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -158,14 +154,6 @@ class Circuit:
                 raise CircuitError(
                     f"gate {g.kind} touches qubit {max(g.qubits)} "
                     f"but circuit has {self.n_qubits} qubits")
-        for q, role in self.roles.items():
-            if not 0 <= q < self.n_qubits:
-                raise CircuitError(f"role qubit q{q} out of range")
-            if role not in ROLES:
-                raise CircuitError(f"unknown role {role!r}")
-        for q in self.measures:
-            if not 0 <= q < self.n_qubits:
-                raise CircuitError(f"measure qubit q{q} out of range")
 
     def ry_angles(self) -> list[float]:
         """Distinct ry angles in order of first appearance."""
@@ -217,8 +205,7 @@ def legalize_star(circuit: Circuit, center: int) -> Circuit:
             raise CircuitError(
                 f"cx q{g.control} q{g.target} joins two leaf qubits; "
                 "not routable on a star topology")
-    return Circuit(circuit.n_qubits, gates, dict(circuit.roles),
-                   circuit.measures)
+    return Circuit(circuit.n_qubits, gates)
 
 
 def substitute_ry(circuit: Circuit,
@@ -240,8 +227,7 @@ def substitute_ry(circuit: Circuit,
         else:
             raise CircuitError(
                 f"no approximation supplied for ry({g.angle!r})")
-    return Circuit(circuit.n_qubits, gates, dict(circuit.roles),
-                   circuit.measures)
+    return Circuit(circuit.n_qubits, gates)
 
 
 def basis_change(basis: str, qubit: int) -> list[Gate]:
@@ -259,11 +245,9 @@ def basis_change(basis: str, qubit: int) -> list[Gate]:
 # Text format
 # ---------------------------------------------------------------------------
 #   qubits <n>
-#   role q<i> state|eigen|ancilla
 #   x|y|z|h|s|sdg|t|tdg q<i>
 #   ry(<radians>) q<i>
 #   cx q<c> q<t>
-#   measure q<i>          (terminal only)
 # '#' starts a comment; tokens are whitespace separated.
 
 _RY_RE = re.compile(r"^ry\((?P<angle>[^)]*)\)$")
@@ -271,8 +255,6 @@ _RY_RE = re.compile(r"^ry\((?P<angle>[^)]*)\)$")
 
 def emit_text(circuit: Circuit) -> str:
     lines = [f"qubits {circuit.n_qubits}"]
-    for q in sorted(circuit.roles):
-        lines.append(f"role q{q} {circuit.roles[q]}")
     for g in circuit.gates:
         if g.kind == "ry":
             lines.append(f"ry({g.angle!r}) q{g.qubit}")
@@ -280,8 +262,6 @@ def emit_text(circuit: Circuit) -> str:
             lines.append(f"cx q{g.control} q{g.target}")
         else:
             lines.append(f"{g.kind} q{g.qubit}")
-    for q in circuit.measures:
-        lines.append(f"measure q{q}")
     return "\n".join(lines) + "\n"
 
 
@@ -296,8 +276,6 @@ def _decimal(token: str) -> int | None:
 def parse_text(source: str) -> Circuit:
     n_qubits = None
     gates: list[Gate] = []
-    roles: dict[int, str] = {}
-    measures: list[int] = []
     # lines end at "\n" only, so qserve.MAX_CIRCUIT_LINES is one str.count
     for line_no, raw in enumerate(source.split("\n"), start=1):
         line = raw.split("#", 1)[0]
@@ -336,17 +314,6 @@ def parse_text(source: str) -> Circuit:
                 fail("qubit count must be a positive integer", 1)
         elif head == "qubits":
             fail("duplicate 'qubits' statement")
-        elif head == "measure":
-            need(2)
-            measures.append(qubit(1))
-        elif measures:
-            fail("statements after 'measure' are not allowed")
-        elif head == "role":
-            need(3)
-            q = qubit(1)
-            if tokens[2] not in ROLES:
-                fail(f"unknown role {tokens[2]!r}", 2)
-            roles[q] = tokens[2]
         elif head == "cx":
             need(3)
             c, tq = qubit(1), qubit(2)
@@ -369,4 +336,4 @@ def parse_text(source: str) -> Circuit:
             fail(f"unknown gate name {head!r}")
     if n_qubits is None:
         raise CircuitSyntaxError("empty source; expected 'qubits <n>'", 1, 1)
-    return Circuit(n_qubits, gates, roles, tuple(measures))
+    return Circuit(n_qubits, gates)

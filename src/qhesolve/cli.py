@@ -29,6 +29,12 @@ def _parse_floats(text: str, count: int, what: str) -> np.ndarray:
     return np.array([float(p) for p in parts])
 
 
+def _port(text: str) -> int:
+    if not 0 <= int(text) <= 65535:
+        raise argparse.ArgumentTypeError(f"port {text} is outside 0..65535")
+    return int(text)
+
+
 def _write_out(path: str | None, text: str):
     if path:
         with open(path, "w", encoding="utf-8") as handle:
@@ -300,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_verb("serve", "run the execution server")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7177)
+    p.add_argument("--port", type=_port, default=7177)
     p.add_argument("--timeout", type=float, default=qserve.DEFAULT_TIMEOUT)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=_cmd_serve)

@@ -51,6 +51,8 @@ class LinearSystem:
         b = np.array(self.b, dtype=float)
         if a.shape != (2, 2) or b.shape != (2,):
             raise SolverError("expected a 2x2 matrix and a 2-vector")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise SolverError("matrix and right-hand side must be finite")
         if abs(a[0, 1] - a[1, 0]) > 1e-12:
             raise SolverError("matrix must be symmetric")
         det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
@@ -334,8 +336,7 @@ def build_optimized_circuit(eig: EigenDecomp, b_unit: np.ndarray,
         gates += flip + circ.decompose_cry(theta, EIGEN_QUBIT, ANCILLA_QUBIT) + flip
     gates.append(circ.cx(STATE_QUBIT, EIGEN_QUBIT))
     gates += circ.invert_gates(_rotation_gates(eig.r, STATE_QUBIT))
-    return Circuit(3, gates, {STATE_QUBIT: "state", EIGEN_QUBIT: "eigen",
-                              ANCILLA_QUBIT: "ancilla"})
+    return Circuit(3, gates)
 
 
 def choose_t0(eig: EigenDecomp, m: int) -> float:
@@ -424,12 +425,10 @@ def build_general_circuit(system: LinearSystem,
         estimation.extend(_controlled_evolution(eig, q, t0 * power))
     estimation.extend(circ.invert_gates(qft_gates(register)))
 
-    roles = {STATE_QUBIT: "state", ancilla: "ancilla"}
-    roles.update({q: "eigen" for q in register})
     gates = (prepare_b(b_unit) + estimation
              + uniformly_controlled_ry(register, ancilla, angles)
              + circ.invert_gates(estimation))
-    return Circuit(n_qubits, gates, roles)
+    return Circuit(n_qubits, gates)
 
 
 def _canonical_sign(vec: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -547,18 +546,21 @@ def submit_solve(system: LinearSystem, config: SolverConfig,
     )
     response = qserve.submit(server, job)
 
-    if sampled:
-        results = response["results"]
-        tables = {item["basis"]: qsim.Counts(item["kept_shots"], item["counts"])
-                  for item in results}
-        expectations = qsim.pauli_expectations(tables["Z"], tables["X"],
-                                               tables["Y"], STATE_QUBIT)
-        prob = (sum(item["kept_shots"] for item in results)
-                / sum(item["raw_shots"] for item in results))
-    else:
-        state = qsim.StateVector.from_amplitudes(
-            [complex(re, im) for re, im in response["amplitudes"]])
-        expectations = qsim.analytic_expectations(state, STATE_QUBIT)
-        prob = response["success_probability"]
+    try:  # the server is untrusted, so its reply may have any shape
+        if sampled:
+            results = response["results"]
+            tables = {r["basis"]: qsim.Counts(r["kept_shots"], r["counts"])
+                      for r in results}
+            expectations = qsim.pauli_expectations(tables["Z"], tables["X"],
+                                                   tables["Y"], STATE_QUBIT)
+            prob = (sum(item["kept_shots"] for item in results)
+                    / sum(item["raw_shots"] for item in results))
+        else:
+            state = qsim.StateVector.from_amplitudes(
+                [complex(re, im) for re, im in response["amplitudes"]])
+            expectations = qsim.analytic_expectations(state, STATE_QUBIT)
+            prob = float(response["success_probability"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise qserve.TransportError(f"malformed reply: {exc!r}") from None
     return extract_solution(expectations, prob, b_norm, c_value=c_value,
                             b_unit=b_unit, ideal=classical_solve(system))

@@ -55,7 +55,7 @@ _PAULI_KINDS = ("x", "y", "z")
 
 
 class TransportError(ConnectionError):
-    """Client-side connection, framing, or timeout failure."""
+    """Client-side connection, framing, timeout or malformed-reply failure."""
 
 
 class ServerError(RuntimeError):
@@ -402,7 +402,7 @@ def _parse_address(server: tuple[str, int] | str) -> tuple[str, int]:
     if isinstance(server, tuple):
         return server
     host, _, port = server.rpartition(":")
-    if not host or not port.isdecimal():
+    if not host or not port.isdecimal() or len(port) > 5 or int(port) > 65535:
         raise TransportError(f"bad server address {server!r}; want host:port")
     return host, int(port)
 
@@ -431,6 +431,8 @@ def submit(server: tuple[str, int] | str | None, job: Job,
             raise TransportError(
                 "server closed the connection without replying")
     response = json.loads(payload_bytes.decode("utf-8"))
+    if not isinstance(response, dict):
+        raise TransportError("the reply is not a JSON object")
     if "error" in response:
         raise ServerError(response["error"], response.get("detail", ""))
     if response.get("id") != job.id:

@@ -51,8 +51,6 @@ def test_gate_validation():
 def test_circuit_rejects_out_of_range_gate():
     with pytest.raises(CircuitError):
         Circuit(1, [cx(0, 1)])
-    with pytest.raises(CircuitError):
-        Circuit(2, roles={5: "state"})
 
 
 def test_invert_gates_is_inverse():
@@ -346,8 +344,14 @@ def test_parse_refuses_integers_int_cannot_read(source):
 
 
 def test_parse_rejects_gate_after_measure():
-    with pytest.raises(CircuitSyntaxError, match="after 'measure'"):
-        parse_text("qubits 1\nmeasure q0\nh q0\n")
+    # a circuit is its gates: role and measure lines are unknown gates
+    for source, line, column, name in [
+            ("qubits 1\nmeasure q0\nh q0\n", 2, 1, "measure"),
+            ("qubits 3\nh q0\n  role q0 state\n", 3, 3, "role")]:
+        with pytest.raises(CircuitSyntaxError,
+                           match=f"unknown gate name '{name}'") as err:
+            parse_text(source)
+        assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_parse_requires_header():
@@ -360,22 +364,17 @@ def test_parse_requires_header():
 def test_parse_comments_and_roles():
     src = """qubits 3  # three qubits
 # full-line comment
-role q0 state
-role q2 ancilla
-ry(-1.0007963267948966) q0
+ry(-1.0007963267948966) q0  # role q0 state
 cx q0 q1
-measure q2
 """
     c = parse_text(src)
-    assert c.roles == {0: "state", 2: "ancilla"}
-    assert c.measures == (2,)
+    assert c == Circuit(3, [ry(-1.0007963267948966, 0), cx(0, 1)])
     assert c.gates[0].angle == pytest.approx(-1.0007963267948966, abs=0)
 
 
 def test_round_trip_is_identity():
     c = Circuit(3, [h(0), ry(-0.5003858965468718, 1), cx(2, 1), t(0),
-                    s(2), x(1)],
-                roles={0: "state", 1: "eigen", 2: "ancilla"}, measures=(0, 2))
+                    s(2), x(1)])
     assert parse_text(emit_text(c)) == c
 
 

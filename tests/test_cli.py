@@ -1,11 +1,13 @@
 """CLI behavior: determinism, exit codes, and the documented examples."""
+import json
 import math
 import socket
+import threading
 
 import numpy as np
 import pytest
 
-from qhesolve import fixtures, hecrypt, hhl, qsim
+from qhesolve import fixtures, hecrypt, hhl, qserve, qsim
 from qhesolve.cli import build_parser, main
 
 SQ2 = 1 / math.sqrt(2)
@@ -106,6 +108,74 @@ def test_superscript_server_port_exits_one(capsys):
         "--server", "127.0.0.1:\u00b2"])
     assert (status, out) == (1, "")
     assert err.startswith("error: bad server address")
+
+
+def reply_once(reply: bytes):
+    """host:port of a one-connection server that answers with `reply`."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5.0)
+
+    def serve():
+        with listener, listener.accept()[0] as conn:
+            qserve.recv_frame(conn)
+            conn.sendall(qserve.FRAME_HEADER.pack(len(reply)) + reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    host, port = listener.getsockname()
+    return f"{host}:{port}", thread
+
+
+def sampled_reply(bases):
+    return json.dumps({"id": "solve-exact-sampled", "results": [
+        {"basis": b, "qubit": 0, "counts": {"000": 8}, "raw_shots": raw,
+         "kept_shots": 8} for b, raw in bases]}).encode()
+
+
+# (execution, reply bytes)
+MALFORMED_REPLIES = {
+    "no_amplitudes": ("analytic", b'{"id": "solve-exact-analytic"}'),
+    "array": ("analytic", b"[1, 2]"),
+    "string": ("analytic", b'"solve-exact-analytic"'),
+    "text_probability": ("analytic", json.dumps({
+        "id": "solve-exact-analytic",
+        "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 7,
+        "success_probability": "high"}).encode()),
+    "no_z_result": ("sampled", sampled_reply([("X", 8), ("Y", 8)])),
+    "no_raw_shots": ("sampled", sampled_reply([("Z", 0), ("X", 0), ("Y", 0)])),
+}
+
+
+@pytest.mark.parametrize("execution,reply", MALFORMED_REPLIES.values(),
+                         ids=MALFORMED_REPLIES)
+def test_malformed_server_reply_is_one_error_line(capsys, execution, reply):
+    # the server is untrusted: no reply may crash the client
+    address, thread = reply_once(reply)
+    status, out, err = run_cli(capsys, [
+        "solve", "--fixture", "eq7", "--key", "1,0", "--execution",
+        execution, "--shots", "8", "--server", address])
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert (status, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_serve_port_out_of_range_is_usage_error(capsys, port):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--port", port])
+    assert exit_info.value.code == 2
+    assert "outside 0..65535" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("matrix,rhs", [
+    (m, r) for m in ("nan,0,0,1", "inf,0,0,1", "1,0,0,inf", "2,0,0,1")
+    for r in ("1,1", "nan,1", "inf,1") if (m, r) != ("2,0,0,1", "1,1")])
+def test_non_finite_system_is_refused(capsys, matrix, rhs):
+    status, out, err = run_cli(capsys, ["solve", f"--matrix={matrix}",
+                                        f"--rhs={rhs}", "--key", "0,1"])
+    assert (status, out) == (1, "")
+    assert err == "error: matrix and right-hand side must be finite\n"
 
 
 def test_solve_key_seed_generates_key(capsys):

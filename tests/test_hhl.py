@@ -186,7 +186,6 @@ def test_exact_mode_first_masked_fixture():
     eig = eigendecompose(A_EQ7)
     config = SolverConfig(mode="exact", c_constant=0.4)
     circuit = build_optimized_circuit(eig, B_MASKED_EQ7, config)
-    assert circuit.roles == {0: "state", 1: "eigen", 2: "ancilla"}
     state = qsim.run_statevector(circuit)
     post, prob = qsim.postselect(state, ANCILLA_QUBIT, 1)
     assert prob == pytest.approx(0.16, abs=1e-9)

@@ -409,6 +409,18 @@ def test_superscript_port_is_a_bad_address():
         submit("127.0.0.1:²", Job(id="x", circuit=BELL))
 
 
+@pytest.mark.parametrize("port", ["65536", str(7177 + 65536), "1" * 5000],
+                         ids=["65536", "7177_plus_65536", "5000_digits"])
+def test_port_past_65535_is_a_bad_address(port, monkeypatch):
+    # getaddrinfo would wrap 7177 + 65536 onto port 7177
+    def refuse(*args, **kwargs):
+        raise AssertionError("no socket may be opened for a bad address")
+
+    monkeypatch.setattr(socket, "create_connection", refuse)
+    with pytest.raises(TransportError, match="bad server address"):
+        submit(f"127.0.0.1:{port}", Job(id="x", circuit=BELL))
+
+
 def test_submit_surfaces_server_errors(server):
     with pytest.raises(ServerError, match="parse_error"):
         submit(server.address, Job(id="x", circuit="qubits 1\nq q0\n"))
@@ -753,6 +765,25 @@ def test_every_request_gets_one_response_over_tcp(values, no_simulation,
         qserve.send_frame(sock, Job(id="after", circuit=BELL).to_payload())
         after = json.loads(qserve.recv_frame(sock))
         assert after["id"] == "after" and "amplitudes" in after
+
+
+def test_every_simulated_request_gets_one_response(monkeypatch):
+    # accepted jobs simulate for real: at most 3 qubits and 64 shots. The
+    # first 300 derandomized JOB_LIKE cases hold only 28 sampled jobs that
+    # parse_job accepts, so this draws 600.
+    replies = []
+    handle = qserve.handle_request
+
+    def recording(payload_bytes):
+        replies.append(handle(payload_bytes))
+        return replies[-1]
+
+    monkeypatch.setattr(qserve, "handle_request", recording)
+    for values in (JOB_LIKE, SOUP_JOBS):
+        settings(derandomize=True, deadline=None, database=None,
+                 max_examples=600)(given(values)(answers_once))()
+    assert sum("results" in r for r in replies) >= 30
+    assert any(r.get("error") == "zero_probability" for r in replies)
 
 
 def test_soup_parse_error_names_a_token():
