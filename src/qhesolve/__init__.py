@@ -1,8 +1,9 @@
 """Masked delegation of a 2x2 quantum linear-equation solver.
 
-Subpackages: qsim (statevector simulation and tomography), circ (circuit IR
-and rewrite passes), synth (Clifford+T synthesis), hhl (solver construction),
-hecrypt (masking client), qserve (execution service), cli (front door).
+Modules: qsim (statevector simulation and tomography), circ (circuit IR and
+rewrite passes), synth (Clifford+T synthesis), hhl (solver construction),
+hecrypt (masking client), qserve (execution service), fixtures (the paper's
+demonstration systems), cli (front door).
 """
 
 from . import circ, fixtures, hecrypt, hhl, qserve, qsim, synth

@@ -144,7 +144,7 @@ def _cmd_bloch(args) -> int:
         marked.append(("approx", synth.closest_state(target_state, coverage)))
     _write_out(args.out, synth.export_bloch_csv(coverage, marked))
     if args.out:
-        sys.stdout.write(f"points={len(coverage.points)}\n")
+        sys.stdout.write(f"points={len(coverage)}\n")
     return 0
 
 
@@ -197,9 +197,7 @@ def _cmd_serve(args) -> int:
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(asctime)s %(name)s %(message)s")
-    config = qserve.ServerConfig(host=args.host, port=args.port,
-                                 timeout=args.timeout)
-    server = qserve.ExecutionServer(config)
+    server = qserve.ExecutionServer(args.host, args.port, args.timeout)
     host, port = server.address
     sys.stdout.write(f"listening on {host}:{port}\n")
     sys.stdout.flush()

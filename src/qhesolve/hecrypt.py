@@ -38,15 +38,6 @@ class MaskKey:
         return np.array(self.a, dtype=float)
 
 
-@dataclass(frozen=True)
-class MaskedSystem:
-    """The public matrix and the masked vector b' = b - A a; the server sees
-    A and only the direction of b', through the circuit."""
-
-    a_matrix: np.ndarray
-    b_prime: np.ndarray
-
-
 def keygen(n: int, seed: int) -> MaskKey:
     """Uniform binary key; deterministic for a fixed seed."""
     if n < 1:
@@ -55,15 +46,16 @@ def keygen(n: int, seed: int) -> MaskKey:
     return MaskKey(tuple(int(b) for b in rng.integers(0, 2, size=n)))
 
 
-def encrypt(system: LinearSystem, key: MaskKey) -> MaskedSystem:
-    """Mask the right-hand side: b' = b - A a. A itself is untouched."""
+def encrypt(system: LinearSystem, key: MaskKey) -> LinearSystem:
+    """Mask the right-hand side: b' = b - A a, with A untouched. The server
+    sees A and only the direction of b', through the circuit."""
     if len(key.a) != 2:
         raise MaskingError("key length must match the system dimension")
     b_prime = system.b - system.a @ key.vector()
     if np.linalg.norm(b_prime) <= 1e-12:
         raise MaskingError(
             "masked vector vanishes (b equals A a); resample the key")
-    return MaskedSystem(system.a, b_prime)
+    return LinearSystem(system.a, b_prime)
 
 
 def decrypt(result: np.ndarray, key: MaskKey) -> np.ndarray:
@@ -85,9 +77,7 @@ def solve_encrypted(system: LinearSystem, key: MaskKey,
     report's solution field holds the decrypted answer; the pre-decryption
     vector stays in masked_solution.
     """
-    masked = encrypt(system, key)
-    report = submit_solve(LinearSystem(masked.a_matrix, masked.b_prime),
-                          config, server)
+    report = submit_solve(encrypt(system, key), config, server)
     plaintext = classical_solve(system)
     decrypted = decrypt(report.solution, key)
     return replace(

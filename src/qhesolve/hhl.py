@@ -53,6 +53,9 @@ class LinearSystem:
             raise SolverError("expected a 2x2 matrix and a 2-vector")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise SolverError("matrix and right-hand side must be finite")
+        # every solve divides by ||b||, which underflows to 0 below ~1e-162
+        if np.linalg.norm(b) == 0:
+            raise SolverError("right-hand side must be nonzero")
         if abs(a[0, 1] - a[1, 0]) > 1e-12:
             raise SolverError("matrix must be symmetric")
         det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
@@ -405,10 +408,7 @@ def build_general_circuit(system: LinearSystem,
 
     register = list(range(1, 1 + m))
     ancilla = 1 + m
-    b_norm = np.linalg.norm(system.b)
-    if b_norm <= 0:
-        raise SolverError("b must be nonzero")
-    b_unit = system.b / b_norm
+    b_unit = system.b / np.linalg.norm(system.b)
 
     angles = np.zeros(2 ** m)
     angles[n1] = rotation_angle_exact(eig.lambda1, c)
@@ -530,8 +530,6 @@ def submit_solve(system: LinearSystem, config: SolverConfig,
     """
     eig = eigendecompose(system.a)
     b_norm = float(np.linalg.norm(system.b))
-    if b_norm <= 0:
-        raise SolverError("b must be nonzero")
     b_unit = system.b / b_norm
     circuit, c_value = compile_solver_circuit(eig, b_unit, config)
     sampled = config.execution == "sampled"

@@ -301,16 +301,9 @@ def handle_request(payload_bytes: bytes) -> dict:
 # Server
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ServerConfig:
-    host: str = "127.0.0.1"
-    port: int = 0
-    timeout: float = DEFAULT_TIMEOUT
-
-
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
-        self.request.settimeout(self.server.config.timeout)
+        self.request.settimeout(self.server.timeout)
         while True:
             try:
                 payload_bytes = recv_frame(self.request)
@@ -335,17 +328,26 @@ class _Handler(socketserver.BaseRequestHandler):
                 return
 
 
-class _TCPServer(socketserver.ThreadingTCPServer):
+class ExecutionServer(socketserver.ThreadingTCPServer):
+    """start() in a background thread, or serve_forever(); a connection idle
+    for timeout seconds is dropped."""
+
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, config: ServerConfig):
-        self.config = config
+    def __init__(self, host: str = "127.0.0.1", port: int = 0,
+                 timeout: float = DEFAULT_TIMEOUT):
+        self.timeout = timeout
         self.job_slots = threading.BoundedSemaphore(MAX_CONCURRENT_JOBS)
         # a byte on wake ends serve_until_stopped's select, which has no
         # timeout: an idle server never polls, and stops at once
         self.wake, self._woken = socket.socketpair()
-        super().__init__((config.host, config.port), _Handler)
+        self._thread: threading.Thread | None = None
+        super().__init__((host, port), _Handler)
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self.server_address[:2]
 
     def serve_until_stopped(self):
         with selectors.DefaultSelector() as selector:
@@ -354,42 +356,29 @@ class _TCPServer(socketserver.ThreadingTCPServer):
             while all(key.fileobj is self for key, _ in selector.select()):
                 self._handle_request_noblock()
 
-    def server_close(self):
-        super().server_close()
-        self.wake.close()
-        self._woken.close()
-
-
-class ExecutionServer:
-    """Lifecycle wrapper: start() in a background thread, or serve_forever()."""
-
-    def __init__(self, config: ServerConfig | None = None):
-        self.config = config or ServerConfig()
-        self._server = _TCPServer(self.config)
-        self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._server.server_address[:2]
-        return host, port
-
     def start(self) -> tuple[str, int]:
         self._thread = threading.Thread(
-            target=self._server.serve_until_stopped, name="qhesolve-server",
+            target=self.serve_until_stopped, name="qhesolve-server",
             daemon=True)
         self._thread.start()
         return self.address
 
     def serve_forever(self):
         log.info("serving on %s:%d", *self.address)
-        self._server.serve_until_stopped()
+        self.serve_until_stopped()
 
     def shutdown(self):
-        self._server.wake.send(b"\0")
+        self.wake.send(b"\0")
         if self._thread is not None:
             self._thread.join(timeout=5.0)
-        self._server.server_close()
+        self.server_close()
 
+    def server_close(self):
+        super().server_close()
+        self.wake.close()
+        self._woken.close()
+
+    # BaseServer.__exit__ only closes the socket
     def __enter__(self) -> "ExecutionServer":
         self.start()
         return self
@@ -420,7 +409,6 @@ def submit(server: tuple[str, int] | str | None, job: Job,
         address = _parse_address(server)
         try:
             with socket.create_connection(address, timeout=timeout) as sock:
-                sock.settimeout(timeout)
                 send_frame(sock, job.to_payload())
                 payload_bytes = recv_frame(sock)
         except socket.timeout as exc:
@@ -430,7 +418,10 @@ def submit(server: tuple[str, int] | str | None, job: Job,
         if payload_bytes is None:
             raise TransportError(
                 "server closed the connection without replying")
-    response = json.loads(payload_bytes.decode("utf-8"))
+    try:
+        response = json.loads(payload_bytes.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+        raise TransportError(f"malformed reply: {exc!r}") from None
     if not isinstance(response, dict):
         raise TransportError("the reply is not a JSON object")
     if "error" in response:

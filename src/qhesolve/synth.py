@@ -69,15 +69,6 @@ class SynthResult:
     sequence: CliffordTSequence
     unitary: np.ndarray
     similarity: float
-    target: np.ndarray
-
-
-@dataclass(frozen=True)
-class CoverageSet:
-    """Bloch points of every state C0 T C1 T ... T Ck |0> with k <= t_budget."""
-
-    t_budget: int
-    points: tuple[tuple[float, float, float], ...]
 
 
 def similarity(u: np.ndarray, v: np.ndarray) -> float:
@@ -191,8 +182,8 @@ def enumerate_unitaries(t_budget: int) -> UnitaryTable:
 
 
 @functools.lru_cache(maxsize=MAX_T_BUDGET + 1)
-def enumerate_states(t_budget: int) -> CoverageSet:
-    """Bloch points reachable from |0> within the T budget (exact set).
+def enumerate_states(t_budget: int) -> tuple[tuple[float, float, float], ...]:
+    """Sorted Bloch points reachable from |0> within the T budget (exact set).
 
     U|0> has Bloch point R z, the third column of U's key. Each coordinate is
     reduced to its least k, so equal values give bit-identical floats.
@@ -206,7 +197,7 @@ def enumerate_states(t_budget: int) -> CoverageSet:
     exact = np.unique(np.stack([a, b, k], axis=2).reshape(-1, 9), axis=0)
     a, b, k = exact.reshape(-1, 3, 3).transpose(2, 0, 1)
     points = (a + b * np.sqrt(2.0)) * 2.0 ** (-k / 2)  # exact for even k
-    return CoverageSet(t_budget, tuple(sorted(map(tuple, points.tolist()))))
+    return tuple(sorted(map(tuple, points.tolist())))
 
 
 def approximate_unitary(target: np.ndarray, t_budget: int) -> SynthResult:
@@ -247,23 +238,24 @@ def tied_maximizers(target: np.ndarray, t_budget: int,
     exact = [abs(np.trace(target_dag @ table.matrices[i])) / 2.0 for i in near]
     top = max(exact)
     return [SynthResult(CliffordTSequence(table[i].word), table.matrices[i],
-                        float(s), target)
+                        float(s))
             for i, s in zip(near, exact) if s >= top - tol]
 
 
 def closest_state(target_state: np.ndarray,
-                  coverage: CoverageSet) -> tuple[float, float, float]:
+                  coverage: Sequence[tuple[float, float, float]]
+                  ) -> tuple[float, float, float]:
     """The coverage point nearest (in Bloch distance) to a target state; a
     tie goes to the first in (x, y, z) order, as mirrored points are exact."""
     want = np.array(bloch_point(target_state))
-    pts = np.asarray(coverage.points)
+    pts = np.asarray(coverage)
     if pts.size == 0:
         raise SynthesisError("empty coverage set")
     best = int(np.argmin(np.linalg.norm(pts - want, axis=1)))
     return tuple(float(c) for c in pts[best])
 
 
-def export_bloch_csv(coverage: CoverageSet,
+def export_bloch_csv(coverage: Sequence[tuple[float, float, float]],
                      marked: Sequence[tuple[str, Iterable[float]]] = ()) -> str:
     """CSV of coverage points plus tagged marks; 12 significant digits.
 
@@ -273,7 +265,7 @@ def export_bloch_csv(coverage: CoverageSet,
         return f"{v:.12g}"
 
     lines = ["x,y,z,tag"]
-    for px, py, pz in coverage.points:
+    for px, py, pz in coverage:
         lines.append(f"{fmt(px)},{fmt(py)},{fmt(pz)},reachable")
     for tag, point in marked:
         if tag not in ("target", "approx"):

@@ -7,7 +7,7 @@ from qhesolve import qserve
 @pytest.fixture(scope="session")
 def server():
     """One shared execution server for every networked test."""
-    with qserve.ExecutionServer(qserve.ServerConfig()) as srv:
+    with qserve.ExecutionServer() as srv:
         yield srv
 
 

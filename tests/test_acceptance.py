@@ -242,7 +242,7 @@ def test_criterion_2_formula_angle_reading():
 # ---------------------------------------------------------------------------
 
 def test_criterion_3_bloch_coverage(capsys, tmp_path):
-    counts = {k: len(synth.enumerate_states(k).points) for k in (0, 1, 3, 5, 7)}
+    counts = {k: len(synth.enumerate_states(k)) for k in (0, 1, 3, 5, 7)}
     frozen = {0: 6, 1: 18, 3: 90, 5: 378, 7: 1530}
     strict = counts[1] < counts[3] < counts[5] < counts[7]
 
@@ -296,12 +296,12 @@ def test_criterion_4_compiler_semantics():
                                   ("eq8", "replica", 7)):
         system = fixtures.FIXTURES[fixture]()
         masked = hecrypt.encrypt(system, hecrypt.MaskKey((1, 0)))
-        eig = hhl.eigendecompose(masked.a_matrix)
+        eig = hhl.eigendecompose(masked.a)
         config = hhl.SolverConfig(mode=mode,
                                   theta_override=fixtures.REPLICA_THETA,
                                   rs_t_budget=budget)
         circuit, _ = hhl.compile_solver_circuit(
-            eig, masked.b_prime / np.linalg.norm(masked.b_prime), config)
+            eig, masked.b / np.linalg.norm(masked.b), config)
         legalized = circ.legalize_star(circuit, hhl.EIGEN_QUBIT)
         assert all(g.target == hhl.EIGEN_QUBIT for g in legalized.gates
                    if g.kind == "cx")
@@ -371,15 +371,12 @@ def test_criterion_6_homomorphism():
         except hecrypt.MaskingError:
             continue
         pairs += 1
-        inner = hhl.classical_solve(hhl.LinearSystem(masked.a_matrix,
-                                                     masked.b_prime))
+        inner = hhl.classical_solve(masked)
         got = hecrypt.decrypt(inner, key)
         want = hhl.classical_solve(system)
         classical_worst = max(classical_worst,
                               float(np.max(np.abs(got - want))))
-        report = hhl.submit_solve(hhl.LinearSystem(masked.a_matrix,
-                                                   masked.b_prime),
-                                  hhl.SolverConfig(mode="exact"))
+        report = hhl.submit_solve(masked, hhl.SolverConfig(mode="exact"))
         got_q = hecrypt.decrypt(report.solution, key)
         quantum_worst = max(quantum_worst,
                             float(np.linalg.norm(got_q - want)

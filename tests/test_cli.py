@@ -143,6 +143,7 @@ MALFORMED_REPLIES = {
         "success_probability": "high"}).encode()),
     "no_z_result": ("sampled", sampled_reply([("X", 8), ("Y", 8)])),
     "no_raw_shots": ("sampled", sampled_reply([("Z", 0), ("X", 0), ("Y", 0)])),
+    "nested": ("analytic", b"[" * 100_000),
 }
 
 
@@ -176,6 +177,13 @@ def test_non_finite_system_is_refused(capsys, matrix, rhs):
                                         f"--rhs={rhs}", "--key", "0,1"])
     assert (status, out) == (1, "")
     assert err == "error: matrix and right-hand side must be finite\n"
+
+
+def test_zero_right_hand_side_is_refused(capsys):
+    status, out, err = run_cli(capsys, ["solve", "--matrix", "0.7,0.3,0.3,0.7",
+                                        "--rhs", "0,0", "--key", "1,0"])
+    assert (status, out) == (1, "")
+    assert err == "error: right-hand side must be nonzero\n"
 
 
 def test_solve_key_seed_generates_key(capsys):
@@ -215,8 +223,7 @@ def test_substituted_solve_agrees_across_executions(capsys, name):
         assert status == 0, err
         reports[execution] = report_values(out)
     masked = hecrypt.encrypt(system, hecrypt.MaskKey(key))
-    ideal = hhl.classical_solve(hhl.LinearSystem(masked.a_matrix,
-                                                 masked.b_prime))
+    ideal = hhl.classical_solve(masked)
     point = qsim.bloch_point(ideal / np.linalg.norm(ideal))
     sampled = reports["sampled"]
     # fidelity = (1 + r . ideal point) / 2, so its sigma follows the sigmas

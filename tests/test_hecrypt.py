@@ -46,25 +46,25 @@ def test_fixture_key_accepted():
 
 def test_encrypt_first_fixture_gives_unit_masked_vector():
     masked = encrypt(fixtures.eq7(), MaskKey((1, 0)))
-    assert np.allclose(masked.b_prime, [SQ2, SQ2], atol=1e-12)
-    assert np.linalg.norm(masked.b_prime) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(masked.b, [SQ2, SQ2], atol=1e-12)
+    assert np.linalg.norm(masked.b) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_encrypt_second_fixture():
     masked = encrypt(fixtures.eq8(), MaskKey((1, 0)))
-    assert np.allclose(masked.b_prime, [SQ2, -SQ2], atol=1e-12)
+    assert np.allclose(masked.b, [SQ2, -SQ2], atol=1e-12)
 
 
 def test_encrypt_identity_mask():
     system = fixtures.eq7()
     masked = encrypt(system, MaskKey((0, 0)))
-    assert np.allclose(masked.b_prime, system.b, atol=1e-15)
+    assert np.allclose(masked.b, system.b, atol=1e-15)
 
 
 def test_encrypt_leaves_matrix_bit_identical():
     system = fixtures.eq7()
     masked = encrypt(system, MaskKey((1, 1)))
-    assert masked.a_matrix.tobytes() == system.a.tobytes()
+    assert masked.a.tobytes() == system.a.tobytes()
 
 
 def test_encrypt_rejects_vanishing_mask():
@@ -104,7 +104,7 @@ def test_homomorphism_classical_backend():
             masked = encrypt(system, key)
         except MaskingError:
             continue
-        inner = classical_solve(LinearSystem(masked.a_matrix, masked.b_prime))
+        inner = classical_solve(masked)
         got = decrypt(inner, key)
         assert np.allclose(got, classical_solve(system), atol=1e-9)
 
@@ -119,8 +119,7 @@ def test_homomorphism_quantum_backend_sample():
             masked = encrypt(system, key)
         except MaskingError:
             continue
-        report = hhl.submit_solve(LinearSystem(masked.a_matrix, masked.b_prime),
-                                  SolverConfig(mode="exact"))
+        report = hhl.submit_solve(masked, SolverConfig(mode="exact"))
         got = decrypt(report.solution, key)
         want = classical_solve(system)
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-6
@@ -193,7 +192,7 @@ def test_server_view_does_not_depend_on_the_scale_of_b_prime(config, server,
     # ||b'|| depends on the private b: the frame must not carry it
     masked = encrypt(fixtures.eq7(), MaskKey((1, 0)))
     for scale in (1.0, 2.0):
-        hhl.submit_solve(LinearSystem(masked.a_matrix, scale * masked.b_prime),
+        hhl.submit_solve(LinearSystem(masked.a, scale * masked.b),
                          config, server.address)
     assert len(request_log) == 2
     assert request_log[0] == request_log[1]

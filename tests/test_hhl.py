@@ -56,6 +56,14 @@ def test_singular_matrix_rejected():
         LinearSystem(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("b", [[0.0, 0.0], [-0.0, 0.0], [1e-200, 0.0]],
+                         ids=["zero", "negative_zero", "norm_underflows"])
+def test_zero_right_hand_side_rejected(b):
+    # every solve divides by ||b||
+    with pytest.raises(SolverError, match="right-hand side must be nonzero"):
+        LinearSystem(A_EQ7, np.array(b))
+
+
 def test_eigendecompose_fixture_matrices():
     eig = eigendecompose(A_EQ7)
     assert eig.lambdas == pytest.approx((1.0, 0.4), abs=1e-12)

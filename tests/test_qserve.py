@@ -539,6 +539,7 @@ def test_serve_cli_runs_real_server(tmp_path):
     finally:
         proc.terminate()
         proc.wait(timeout=10.0)
+        proc.stdout.close()
         time_mod.sleep(0.05)
 
 
@@ -577,9 +578,21 @@ def test_server_start_and_shutdown_are_quick():
         assert time.perf_counter() - start < 0.1
 
 
+def test_idle_connection_is_dropped_after_the_timeout():
+    with qserve.ExecutionServer(timeout=0.2) as srv:
+        with socket.create_connection(srv.address, timeout=5.0) as idle:
+            start = time.perf_counter()
+            assert idle.recv(1) == b""
+            assert time.perf_counter() - start < 2.0
+        # dropping one connection leaves the server serving new ones
+        reply = submit(srv.address, Job(id="after", circuit=BELL))
+        assert reply["id"] == "after"
+
+
 def test_server_never_imports_key_material():
     import qhesolve.qserve as module
-    source = open(module.__file__, encoding="utf-8").read()
+    with open(module.__file__, encoding="utf-8") as handle:
+        source = handle.read()
     assert "hecrypt" not in source
     assert "MaskKey" not in source
 

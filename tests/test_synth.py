@@ -15,10 +15,10 @@ import pytest
 
 from qhesolve import synth
 from qhesolve.qsim import GATE_MATRICES, bloch_point, ry_matrix
-from qhesolve.synth import (CoverageSet, SynthesisError,
-                            approximate_unitary, clifford_words,
-                            enumerate_states, enumerate_unitaries,
-                            export_bloch_csv, similarity, tied_maximizers)
+from qhesolve.synth import (SynthesisError, approximate_unitary,
+                            clifford_words, enumerate_states,
+                            enumerate_unitaries, export_bloch_csv, similarity,
+                            tied_maximizers)
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -114,14 +114,14 @@ def test_budget_zero_matches_raw_clifford_closure():
     assert len(points) == 6
 
     coverage = enumerate_states(0)
-    got = {tuple(round(c, 9) for c in p) for p in coverage.points}
+    got = {tuple(round(c, 9) for c in p) for p in coverage}
     assert got == points
 
 
 def test_budget_one_contains_rotated_equator_point():
     coverage = enumerate_states(1)
     want = np.array([SQ2, SQ2, 0.0])
-    pts = np.asarray(coverage.points)
+    pts = np.asarray(coverage)
     assert np.min(np.linalg.norm(pts - want, axis=1)) < 1e-9
 
 
@@ -129,21 +129,21 @@ def test_state_counts_and_nesting():
     previous = set()
     for budget in range(8):
         coverage = enumerate_states(budget)
-        assert len(coverage.points) == STATE_COUNTS[budget]
-        current = set(coverage.points)
+        assert len(coverage) == STATE_COUNTS[budget]
+        current = set(coverage)
         assert previous <= current
         previous = current
 
 
 def test_state_points_are_unit_norm():
-    pts = np.asarray(enumerate_states(4).points)
+    pts = np.asarray(enumerate_states(4))
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-9)
 
 
 def test_states_are_the_table_images_of_zero():
     zero = np.array([1, 0], dtype=complex)
     for budget in range(synth.MAX_T_BUDGET + 1):
-        pts = np.asarray(enumerate_states(budget).points)
+        pts = np.asarray(enumerate_states(budget))
         reached = np.array([bloch_point(m @ zero)
                             for m in enumerate_unitaries(budget).matrices])
         nearest_sq = np.full(len(pts), np.inf)
@@ -153,7 +153,7 @@ def test_states_are_the_table_images_of_zero():
             assert gap_sq.min(axis=1).max() < 1e-24
             nearest_sq = np.minimum(nearest_sq, gap_sq.min(axis=0))
         assert nearest_sq.max() < 1e-24
-    assert len(enumerate_states(8).points) == 3066
+    assert len(enumerate_states(8)) == 3066
 
 
 def test_bloch_csv_rows_follow_their_printed_values():
@@ -171,7 +171,7 @@ def test_closest_state_takes_the_first_of_an_exact_mirror_tie():
     x, y, z = synth.closest_state(target_state, coverage)
     assert (f"{x:.12g}", f"{y:.12g}", f"{z:.12g}") == (
         "-0.5", "-0.146446609407", "0.853553390593")
-    assert (x, -y, z) in coverage.points
+    assert (x, -y, z) in coverage
     want = np.array(bloch_point(target_state))
     assert (np.linalg.norm(np.subtract((x, y, z), want))
             == np.linalg.norm(np.subtract((x, -y, z), want)))
@@ -332,7 +332,7 @@ def test_deterministic_tie_break():
 # ---------------------------------------------------------------------------
 
 def test_export_empty_coverage():
-    csv = export_bloch_csv(CoverageSet(0, ()))
+    csv = export_bloch_csv(())
     assert csv == "x,y,z,tag\n"
 
 
@@ -359,12 +359,12 @@ def test_export_marks_are_close_for_replica_half_angle():
     lines = csv.strip().split("\n")
     assert lines[-2].endswith(",target")
     assert lines[-1].endswith(",approx")
-    assert len(lines) == 1 + len(coverage.points) + 2
+    assert len(lines) == 1 + len(coverage) + 2
 
 
 def test_export_rejects_unknown_tag():
     with pytest.raises(SynthesisError):
-        export_bloch_csv(CoverageSet(0, ()), [("best", (0, 0, 1))])
+        export_bloch_csv((), [("best", (0, 0, 1))])
 
 
 def test_sequence_serializes_to_circuit_text():
