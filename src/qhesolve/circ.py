@@ -150,7 +150,7 @@ class Circuit:
             raise CircuitError("circuit needs at least one qubit")
         self.gates = list(self.gates)
         for g in self.gates:
-            if any(q >= self.n_qubits for q in g.qubits):
+            if max(g.qubits) >= self.n_qubits:
                 raise CircuitError(
                     f"gate {g.kind} touches qubit {max(g.qubits)} "
                     f"but circuit has {self.n_qubits} qubits")
@@ -276,8 +276,15 @@ def _decimal(token: str) -> int | None:
 def parse_text(source: str) -> Circuit:
     n_qubits = None
     gates: list[Gate] = []
+    # each distinct gate line is parsed once: a failing line ends the parse
+    # and n_qubits is fixed before any gate line, so a repeat parses the same
+    seen: dict[str, Gate] = {}
     # lines end at "\n" only, so qserve.MAX_CIRCUIT_LINES is one str.count
     for line_no, raw in enumerate(source.split("\n"), start=1):
+        gate = seen.get(raw)
+        if gate is not None:
+            gates.append(gate)
+            continue
         line = raw.split("#", 1)[0]
         # no statement has 4 tokens: a 4th holds the rest of an overlong line
         tokens = line.split(maxsplit=3)
@@ -312,14 +319,15 @@ def parse_text(source: str) -> Circuit:
             n_qubits = _decimal(tokens[1])
             if n_qubits is None or n_qubits < 1:
                 fail("qubit count must be a positive integer", 1)
-        elif head == "qubits":
+            continue
+        if head == "qubits":
             fail("duplicate 'qubits' statement")
         elif head == "cx":
             need(3)
             c, tq = qubit(1), qubit(2)
             if c == tq:
                 fail("cx control and target must differ", 2)
-            gates.append(cx(c, tq))
+            gate = cx(c, tq)
         elif m := _RY_RE.match(head):
             need(2)
             try:
@@ -328,12 +336,14 @@ def parse_text(source: str) -> Circuit:
                 fail(f"bad ry angle {m.group('angle')!r}")
             if not math.isfinite(angle):
                 fail("ry angle must be finite")
-            gates.append(ry(angle, qubit(1)))
+            gate = ry(angle, qubit(1))
         elif head in SINGLE_QUBIT_KINDS:
             need(2)
-            gates.append(Gate(head, (qubit(1),)))
+            gate = Gate(head, (qubit(1),))
         else:
             fail(f"unknown gate name {head!r}")
+        seen[raw] = gate
+        gates.append(gate)
     if n_qubits is None:
         raise CircuitSyntaxError("empty source; expected 'qubits <n>'", 1, 1)
     return Circuit(n_qubits, gates)

@@ -10,6 +10,7 @@ scheme is reproduced as designed, without hardening.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,7 +53,8 @@ def encrypt(system: LinearSystem, key: MaskKey) -> LinearSystem:
     if len(key.a) != 2:
         raise MaskingError("key length must match the system dimension")
     b_prime = system.b - system.a @ key.vector()
-    if np.linalg.norm(b_prime) <= 1e-12:
+    # hypot cannot overflow; LinearSystem refuses a b' whose b'.b' does
+    if math.hypot(*b_prime) <= 1e-12:
         raise MaskingError(
             "masked vector vanishes (b equals A a); resample the key")
     return LinearSystem(system.a, b_prime)

@@ -53,15 +53,20 @@ class LinearSystem:
             raise SolverError("expected a 2x2 matrix and a 2-vector")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise SolverError("matrix and right-hand side must be finite")
+        # Python floats overflow to inf and underflow to 0 with no warning
+        (a00, a01), (a10, a11) = a.tolist()
+        b0, b1 = b.tolist()
+        det, bb = a00 * a11 - a01 * a10, b0 * b0 + b1 * b1
+        if not (math.isfinite(det) and math.isfinite(bb)):
+            raise SolverError("system too large: det(A) or b.b overflows")
         # every solve divides by ||b||, which underflows to 0 below ~1e-162
-        if np.linalg.norm(b) == 0:
+        if bb == 0:
             raise SolverError("right-hand side must be nonzero")
-        if abs(a[0, 1] - a[1, 0]) > 1e-12:
+        if abs(a01 - a10) > 1e-12:
             raise SolverError("matrix must be symmetric")
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
         if abs(det) <= 1e-9:
             raise SolverError("matrix is singular")
-        if a[0, 0] <= 0 or det <= 0:
+        if a00 <= 0 or det <= 0:
             raise SolverError("matrix must be positive definite")
         a.flags.writeable = False
         b.flags.writeable = False

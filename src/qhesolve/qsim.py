@@ -12,6 +12,9 @@ applies a cx as one take() with a cached read-only row permutation (under
 1.5 MB for all pairs up to 10 qubits). _evolve fuses each run of single-qubit
 gates on a qubit, up to a cx on it, into one 2x2 GEMM on a (2^n,) or (2^n, k)
 statevector array; a (2^n, 2^n) density matrix takes gate, then noise, in turn.
+Within one call each distinct run prefix is multiplied once, in the same
+left-fold order, so a run that repeats costs dict lookups and its product is
+bit-identical.
 """
 from __future__ import annotations
 
@@ -169,16 +172,29 @@ def _check_qubit(n_qubits: int, qubit: int):
 
 
 def _fused(gates):
-    """(control, target) per cx; (qubit, 2x2 product) per run up to a cx on it."""
-    runs: dict[int, np.ndarray] = {}
+    """(control, target) per cx; (qubit, 2x2 product) per run up to a cx on it.
+
+    Each open run is a prefix (id, product), id 0 being the empty run.
+    (prefix id, kind, angle bits) names the next prefix, so a run that
+    repeats, on any qubit, is dict lookups; angle.hex() keeps ry(-0.0) apart
+    from ry(0.0), whose products differ in the sign of a zero.
+    """
+    runs: dict[int, tuple[int, np.ndarray]] = {}
+    steps: dict[tuple, tuple[int, np.ndarray]] = {}
     for gate in gates:
         if gate.kind == "cx":
-            yield from ((q, runs.pop(q)) for q in gate.qubits if q in runs)
+            yield from ((q, runs.pop(q)[1]) for q in gate.qubits if q in runs)
             yield gate.control, gate.target
-        else:
-            u = gate_matrix(gate)
-            runs[gate.qubit] = u @ runs[gate.qubit] if gate.qubit in runs else u
-    yield from runs.items()
+            continue
+        prefix, u = runs.get(gate.qubit, (0, None))
+        angle = gate.angle
+        key = (prefix, gate.kind, None if angle is None else float(angle).hex())
+        step = steps.get(key)
+        if step is None:
+            v = gate_matrix(gate)
+            step = steps[key] = (len(steps) + 1, v if u is None else v @ u)
+        runs[gate.qubit] = step
+    yield from ((q, u) for q, (_, u) in runs.items())
 
 
 @functools.cache

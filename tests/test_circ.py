@@ -354,6 +354,45 @@ def test_parse_rejects_gate_after_measure():
         assert (err.value.line, err.value.column) == (line, column)
 
 
+# a pool with heavy repeats: the same gate spelled several ways, signed zero
+# angles, comments, blank lines and "\r" before "\n"
+REPEAT_POOL = ["h q0", "h q0", "  h q0  # again", "h q0\r", "# comment", "",
+               "ry(0.0) q1", "ry(-0.0) q1", "ry(1) q2", "ry(1.0) q2",
+               "ry(-0.5003858965468718) q0", "cx q0 q1", "cx q1 q0\r",
+               "sdg q2", "t q1 # t", "\r"]
+
+
+def test_parse_of_repeated_lines_matches_each_line_alone():
+    rng = np.random.default_rng(20)
+
+    def fields(gates):
+        return [(g.kind, g.qubits, repr(g.angle)) for g in gates]
+
+    for _ in range(200):
+        lines = [REPEAT_POOL[i] for i in
+                 rng.integers(len(REPEAT_POOL), size=int(rng.integers(1, 40)))]
+        alone = [g for line in lines
+                 for g in parse_text(f"qubits 3\n{line}\n").gates]
+        parsed = parse_text("qubits 3\n" + "\n".join(lines) + "\n")
+        assert fields(parsed.gates) == fields(alone)
+
+
+def test_parse_error_names_the_first_bad_occurrence():
+    for source, line, column in [
+            ("qubits 2\nh q0\ncx q0 q1\nh q0\nh q5\ncx q0 q1\nh q5\n", 5, 3),
+            ("qubits 2\nh q0\nh q0\nqubits 2\nh q0\nqubits 2\n", 4, 1),
+            ("qubits 2\nry(1) q0\nry(1) q0\nry(x) q0\nry(1) q0\nry(x) q0\n",
+             4, 1)]:
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_text(source)
+        assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_parse_reuses_the_gate_of_a_repeated_line():
+    gates = parse_text("qubits 2\nry(0.5) q1\nh q0\nry(0.5) q1\n").gates
+    assert gates[0] is gates[2]
+
+
 def test_parse_requires_header():
     with pytest.raises(CircuitSyntaxError):
         parse_text("h q0\n")

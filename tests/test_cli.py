@@ -186,6 +186,17 @@ def test_zero_right_hand_side_is_refused(capsys):
     assert err == "error: right-hand side must be nonzero\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--matrix", "0.7,0.3,0.3,0.7", "--rhs", "1e200,1e200", "--key", "1,0"],
+    ["--matrix", "0.7,0.3,0.3,0.7", "--rhs", "1e154,1e154", "--key", "0,0"],
+    ["--matrix", "1e300,0,0,1e300", "--rhs", "1,1", "--key", "0,0"],
+], ids=["rhs_norm", "rhs_norm_squared", "determinant"])
+def test_overflowing_system_is_refused(capsys, argv):
+    status, out, err = run_cli(capsys, ["solve", *argv])
+    assert (status, out) == (1, "")
+    assert err == "error: system too large: det(A) or b.b overflows\n"
+
+
 def test_solve_key_seed_generates_key(capsys):
     argv = ["solve", "--fixture", "eq7", "--key-seed", "4",
             "--mode", "exact", "--execution", "analytic"]

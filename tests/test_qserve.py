@@ -42,6 +42,14 @@ def test_analytic_bell_job():
     assert result["success_probability"] == 1.0
 
 
+def test_signed_zero_angles_keep_their_own_amplitudes():
+    # circ.decompose_cry(0.0, ...) emits both ry(0.0) and ry(-0.0)
+    text = ("qubits 2\nry(0.0) q0\nry(-0.0) q1\nh q1\nry(-0.0) q0\n"
+            "cx q0 q1\nry(-0.0) q1\n")
+    result = execute_job(Job(id="z", circuit=text).to_payload())
+    assert json.dumps(result["amplitudes"][2]) == "[0.0, 0.0]"
+
+
 def test_parse_error_names_position():
     result = execute_job({"id": "j", "circuit": "qubits 1\nfrob q0\n",
                           "mode": "analytic"})

@@ -229,6 +229,43 @@ def test_run_is_flushed_only_before_a_cx_on_its_qubit():
     assert np.allclose(state.amps, expected, rtol=0, atol=1e-12)
 
 
+def reference_fused(gates):
+    """_fused as one left fold per run, with no memo."""
+    runs = {}
+    for gate in gates:
+        if gate.kind == "cx":
+            for q in gate.qubits:
+                if q in runs:
+                    yield q, runs.pop(q)
+            yield gate.control, gate.target
+        else:
+            u = qsim.gate_matrix(gate)
+            runs[gate.qubit] = u @ runs[gate.qubit] if gate.qubit in runs else u
+    yield from runs.items()
+
+
+def test_memoized_runs_are_the_left_fold_bit_for_bit():
+    def run(q, angle):
+        return [ry(angle, q), h(q), circ.sdg(q), h(q), ry(0.3, q), h(q),
+                circ.s(q), h(q)]
+
+    # the sign of a zero survives only a run that is ry(+-0.0) alone
+    gates = (run(0, -0.0) + [cx(0, 1)] + run(1, 0.0) + run(2, -0.0)
+             + [cx(1, 2), ry(-0.0, 1), cx(1, 0), ry(0.0, 1), cx(1, 2)]
+             + run(1, -0.0) + run(0, -0.0) + [cx(2, 0)] + run(2, 0.0)
+             + run(0, 0.0)[:3] + [ry(-0.0, 1)])
+    got, want = list(qsim._fused(gates)), list(reference_fused(gates))
+    assert len(got) == len(want)
+    for (q, op), (q_want, op_want) in zip(got, want):
+        assert q == q_want
+        if isinstance(op_want, int):
+            assert op == op_want
+            continue
+        assert np.array_equal(op, op_want)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(op)), np.signbit(part(op_want)))
+
+
 def test_cnot_permutation_is_cached_read_only():
     perm = qsim._cnot_perm(3, 0, 2)
     assert perm is qsim._cnot_perm(3, 0, 2)
