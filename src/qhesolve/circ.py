@@ -251,6 +251,9 @@ def basis_change(basis: str, qubit: int) -> list[Gate]:
 # '#' starts a comment; tokens are whitespace separated.
 
 _RY_RE = re.compile(r"^ry\((?P<angle>[^)]*)\)$")
+# parse_text's memo of gate lines stops growing here; a line that finds no
+# entry is parsed as if new, so a circuit of distinct lines keeps no table
+MAX_MEMO_ENTRIES = 4096
 
 
 def emit_text(circuit: Circuit) -> str:
@@ -342,7 +345,8 @@ def parse_text(source: str) -> Circuit:
             gate = Gate(head, (qubit(1),))
         else:
             fail(f"unknown gate name {head!r}")
-        seen[raw] = gate
+        if len(seen) < MAX_MEMO_ENTRIES:
+            seen[raw] = gate
         gates.append(gate)
     if n_qubits is None:
         raise CircuitSyntaxError("empty source; expected 'qubits <n>'", 1, 1)

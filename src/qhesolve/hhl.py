@@ -68,6 +68,11 @@ class LinearSystem:
             raise SolverError("matrix is singular")
         if a00 <= 0 or det <= 0:
             raise SolverError("matrix must be positive definite")
+        # every report divides by ||A^-1 b||: x in classical_solve's order
+        x0 = a11 / det * b0 - a01 / det * b1
+        x1 = a00 / det * b1 - a10 / det * b0
+        if not 0 < x0 * x0 + x1 * x1 < math.inf:
+            raise SolverError("system out of range: x.x overflows or underflows")
         a.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "a", a)

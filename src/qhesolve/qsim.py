@@ -30,6 +30,9 @@ from .circ import Circuit, Gate
 log = logging.getLogger(__name__)
 
 MAX_UNITARY_QUBITS = 6
+# _fused's memo of run prefixes stops growing here (~400 bytes an entry); a
+# step that finds no entry is multiplied as if new
+MAX_MEMO_ENTRIES = 4096
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 GATE_MATRICES = {
@@ -177,7 +180,9 @@ def _fused(gates):
     Each open run is a prefix (id, product), id 0 being the empty run.
     (prefix id, kind, angle bits) names the next prefix, so a run that
     repeats, on any qubit, is dict lookups; angle.hex() keeps ry(-0.0) apart
-    from ry(0.0), whose products differ in the sign of a zero.
+    from ry(0.0), whose products differ in the sign of a zero. Past
+    MAX_MEMO_ENTRIES a new prefix is not stored and gets id cap + 1, which no
+    stored key holds.
     """
     runs: dict[int, tuple[int, np.ndarray]] = {}
     steps: dict[tuple, tuple[int, np.ndarray]] = {}
@@ -192,7 +197,9 @@ def _fused(gates):
         step = steps.get(key)
         if step is None:
             v = gate_matrix(gate)
-            step = steps[key] = (len(steps) + 1, v if u is None else v @ u)
+            step = (len(steps) + 1, v if u is None else v @ u)
+            if len(steps) < MAX_MEMO_ENTRIES:
+                steps[key] = step
         runs[gate.qubit] = step
     yield from ((q, u) for q, (_, u) in runs.items())
 

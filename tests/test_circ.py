@@ -377,6 +377,21 @@ def test_parse_of_repeated_lines_matches_each_line_alone():
         assert fields(parsed.gates) == fields(alone)
 
 
+@pytest.mark.parametrize("cap", [0, 1, 3])
+def test_parse_past_its_memo_cap_is_unchanged(monkeypatch, cap):
+    rng = np.random.default_rng(21)
+    sources = ["qubits 3\n" + "\n".join(
+        REPEAT_POOL[i] for i in rng.integers(len(REPEAT_POOL), size=60))
+        for _ in range(50)]
+    want = [parse_text(src) for src in sources]
+    monkeypatch.setattr(circ, "MAX_MEMO_ENTRIES", cap)
+    for src, circuit in zip(sources, want):
+        got = parse_text(src)
+        assert got.n_qubits == circuit.n_qubits
+        assert ([(g.kind, g.qubits, repr(g.angle)) for g in got.gates]
+                == [(g.kind, g.qubits, repr(g.angle)) for g in circuit.gates])
+
+
 def test_parse_error_names_the_first_bad_occurrence():
     for source, line, column in [
             ("qubits 2\nh q0\ncx q0 q1\nh q0\nh q5\ncx q0 q1\nh q5\n", 5, 3),

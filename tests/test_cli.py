@@ -1,12 +1,16 @@
 """CLI behavior: determinism, exit codes, and the documented examples."""
 import json
 import math
+import os
 import socket
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+import qhesolve
 from qhesolve import fixtures, hecrypt, hhl, qserve, qsim
 from qhesolve.cli import build_parser, main
 
@@ -195,6 +199,18 @@ def test_overflowing_system_is_refused(capsys, argv):
     status, out, err = run_cli(capsys, ["solve", *argv])
     assert (status, out) == (1, "")
     assert err == "error: system too large: det(A) or b.b overflows\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--matrix=1e10,0,0,1e-10", "--rhs=1e153,1e153", "--key", "0,0"],
+    ["--matrix=1e150,0,0,1e150", "--rhs=1e-150,1e-150", "--key", "1,0"],
+], ids=["solution_overflows", "solution_underflows"])
+def test_out_of_range_solution_is_refused(capsys, argv):
+    # det(A) and b.b are finite, but x.x of x = A^-1 b is not a positive float
+    status, out, err = run_cli(capsys, ["solve", *argv, "--mode", "exact",
+                                        "--execution", "analytic"])
+    assert (status, out) == (1, "")
+    assert err == "error: system out of range: x.x overflows or underflows\n"
 
 
 def test_solve_key_seed_generates_key(capsys):
@@ -427,3 +443,41 @@ def test_sampled_solve_just_outside_the_ball_is_accepted(capsys):
     sigma = math.sqrt(1.0 / (4.0 * success * shots)
                       + (1.0 - success) / (12.0 * success * shots))
     assert np.linalg.norm(got - want) / np.linalg.norm(want) < 5.0 * sigma
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+def run_child(argv, blas_threads):
+    """stdout of a fresh `python *argv` on this qhesolve, with
+    OPENBLAS_NUM_THREADS unset (blas_threads None) or set to blas_threads."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(qhesolve.__file__))
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, check=True, env=env, timeout=60).stdout
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads in /proc")
+def test_import_starts_no_blas_worker_thread():
+    code = ("import os, qhesolve\n"
+            "print(len(os.listdir('/proc/self/task')),"
+            " os.environ['OPENBLAS_NUM_THREADS'])\n")
+    assert run_child(["-c", code], None) == "1 1\n"
+
+
+def test_a_blas_thread_count_the_user_set_wins():
+    code = "import os, qhesolve; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert run_child(["-c", code], "2") == "2\n"
+
+
+def test_solve_report_does_not_depend_on_blas_threads():
+    argv = ["-m", "qhesolve", "solve", "--fixture", "eq7", "--key", "1,0",
+            "--mode", "exact", "--execution", "sampled", "--shots", "2048",
+            "--seed", "5"]
+    out = run_child(argv, None)
+    assert out.startswith("success_probability=")
+    assert run_child(argv, "2") == out

@@ -266,6 +266,35 @@ def test_memoized_runs_are_the_left_fold_bit_for_bit():
             assert np.array_equal(np.signbit(part(op)), np.signbit(part(op_want)))
 
 
+@pytest.mark.parametrize("cap", [0, 1, 5, 40])
+def test_runs_past_the_memo_cap_are_the_left_fold_bit_for_bit(monkeypatch,
+                                                              cap):
+    # repeated runs and signed zeros on 3 qubits; every cap binds long
+    # before the 600 gates end
+    monkeypatch.setattr(qsim, "MAX_MEMO_ENTRIES", cap)
+    rng = np.random.default_rng(21)
+    pool = [ry(0.0, 0), ry(-0.0, 0), ry(0.3, 0), h(0), circ.s(0), circ.sdg(0),
+            t(0), x(0)]
+    gates = []
+    for _ in range(600):
+        q = int(rng.integers(3))
+        if rng.random() < 0.1:
+            gates.append(cx(q, (q + 1) % 3))
+        else:
+            g = pool[rng.integers(len(pool))]
+            gates.append(circ.Gate(g.kind, (q,), g.angle))
+    got, want = list(qsim._fused(gates)), list(reference_fused(gates))
+    assert len(got) == len(want)
+    for (q, op), (q_want, op_want) in zip(got, want):
+        assert q == q_want
+        if isinstance(op_want, int):
+            assert op == op_want
+            continue
+        assert np.array_equal(op, op_want)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(op)), np.signbit(part(op_want)))
+
+
 def test_cnot_permutation_is_cached_read_only():
     perm = qsim._cnot_perm(3, 0, 2)
     assert perm is qsim._cnot_perm(3, 0, 2)
