@@ -39,7 +39,7 @@ DEFAULT_TIMEOUT = 30.0
 # checked before any allocation; a noisy job holds a 4^n-entry density
 # matrix: 16 MB at 10 qubits
 MAX_QUBITS = 10
-# rng.choice raises on 2**63 shots; at this cap a basis draws 8 MB of outcomes
+# a basis sorts one 8-byte uniform per shot: 8 MB and ~20 ms at this cap
 MAX_SHOTS = 1 << 20
 # parsing costs ~5-6 us and ~290 bytes at peak per distinct line, and ~0.3
 # us and ~90 bytes per repeat of a line already parsed

@@ -308,16 +308,27 @@ def basis_seeds(seed: int, count: int) -> list[int]:
 
 def sample_counts(state: StateVector | DensityMatrix, shots: int,
                   seed: int) -> Counts:
-    """Draw i.i.d. outcomes from the state's probabilities; seeded."""
+    """Draw i.i.d. outcomes from the state's probabilities; seeded.
+
+    The counts of rng.choice(N, shots, p=p): its cdf and its uniforms u, which
+    it maps to #{i: cdf[i] <= u}; sorted, count i is #{cdf[i-1] <= u < cdf[i]}.
+    """
     if shots < 1:
         raise SimulationError("shots must be >= 1")
     rng = np.random.default_rng(seed)
     probs = state.probabilities()
-    probs = probs / probs.sum()
-    outcomes = rng.choice(len(probs), size=shots, p=probs)
-    values, counts = np.unique(outcomes, return_counts=True)
+    with np.errstate(over="ignore"):
+        total = probs.sum()
+    # probs are >= 0, so a NaN or inf entry leaves this sum non-finite
+    if not 0.0 < total < math.inf:
+        raise SimulationError(f"probabilities sum to {total}")
+    cdf = (probs / total).cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(shots)
+    u.sort()
+    counts = np.diff(u.searchsorted(cdf, side="left"), prepend=0).tolist()
     n = state.n_qubits
-    table = {format(int(v), f"0{n}b"): int(c) for v, c in zip(values, counts)}
+    table = {format(i, f"0{n}b"): c for i, c in enumerate(counts) if c}
     return Counts(shots, table)
 
 

@@ -401,6 +401,74 @@ def test_sampling_consistency_with_born_rule():
         assert abs(observed - p) < 5 * sigma + 1e-9
 
 
+def _choice_table(state, shots, seed):
+    """The sampler that sorted uniforms replaced: one choice draw per shot."""
+    rng = np.random.default_rng(seed)
+    probs = state.probabilities()
+    probs = probs / probs.sum()
+    outcomes = rng.choice(len(probs), size=shots, p=probs)
+    values, counts = np.unique(outcomes, return_counts=True)
+    n = state.n_qubits
+    return {format(int(v), f"0{n}b"): int(c) for v, c in zip(values, counts)}
+
+
+def _assert_choice_counts(state, shots, seed):
+    # items, not the dicts: a response encodes the table in this order
+    got = sample_counts(state, shots, seed).table
+    assert list(got.items()) == list(_choice_table(state, shots, seed).items())
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_sampled_counts_are_choice_counts(n):
+    rng = np.random.default_rng(600 + n)
+    size = 1 << n
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    with_zeros = np.where(rng.random(size) < 0.5, 0.0, amps)
+    with_zeros[rng.integers(size)] = 1.0
+    one_hot = np.zeros(size)
+    one_hot[rng.integers(size)] = 1.0
+    for amps in (np.ones(size), amps, amps * np.exp(-2.0 * np.arange(size)),
+                 with_zeros, one_hot):
+        state = StateVector.from_amplitudes(amps / np.linalg.norm(amps))
+        for shots in (1, 7, 8192):
+            for seed in rng.integers(1 << 63, size=2).tolist():
+                _assert_choice_counts(state, shots, seed)
+
+
+def test_sampled_density_counts_are_choice_counts():
+    circuit = Circuit(3, [h(0), cx(0, 1), t(1), ry(0.7, 2), cx(2, 0), h(2)])
+    state = qsim.run_density(circuit, 0.05)
+    for seed in range(50):
+        for shots in (1, 7, 8192):
+            _assert_choice_counts(state, shots, seed)
+
+
+def test_sampled_uniform_on_a_cdf_entry_counts_as_choice_does():
+    # cdf = [u, 1.0] exactly, where u is the seed's first uniform: choice
+    # maps u to outcome 1
+    for seed in range(50):
+        u = np.random.default_rng(seed).random()
+        state = qsim.DensityMatrix(1, np.diag([u, 1.0 - u]).astype(complex))
+        assert sample_counts(state, 1, seed).table == {"1": 1}
+        _assert_choice_counts(state, 7, seed)
+
+
+def test_sampled_counts_are_choice_counts_at_max_shots():
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=1024) + 1j * rng.normal(size=1024)
+    state = StateVector.from_amplitudes(amps / np.linalg.norm(amps))
+    _assert_choice_counts(state, 1 << 20, 2024)
+
+
+@pytest.mark.parametrize("diagonal", [[np.nan, 1.0], [0.0, 0.0], [np.inf, 0.0],
+                                      [1e308, 1e308]],
+                         ids=["nan", "all_zero", "inf", "sum_overflows"])
+def test_sampling_refuses_what_choice_refused(diagonal):
+    state = qsim.DensityMatrix(1, np.diag(diagonal).astype(complex))
+    with pytest.raises(SimulationError, match="probabilities sum to"):
+        sample_counts(state, 16, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # post-selection
 # ---------------------------------------------------------------------------
