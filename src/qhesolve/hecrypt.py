@@ -10,13 +10,12 @@ scheme is reproduced as designed, without hardening.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .hhl import (LinearSystem, SolutionReport, SolverConfig, classical_solve,
-                  submit_solve)
+                  relative_error, submit_solve)
 
 
 class MaskingError(ValueError):
@@ -53,8 +52,7 @@ def encrypt(system: LinearSystem, key: MaskKey) -> LinearSystem:
     if len(key.a) != 2:
         raise MaskingError("key length must match the system dimension")
     b_prime = system.b - system.a @ key.vector()
-    # hypot cannot overflow; LinearSystem refuses a b' whose b'.b' does
-    if math.hypot(*b_prime) <= 1e-12:
+    if not b_prime.any():
         raise MaskingError(
             "masked vector vanishes (b equals A a); resample the key")
     return LinearSystem(system.a, b_prime)
@@ -80,12 +78,10 @@ def solve_encrypted(system: LinearSystem, key: MaskKey,
     vector stays in masked_solution.
     """
     report = submit_solve(encrypt(system, key), config, server)
-    plaintext = classical_solve(system)
     decrypted = decrypt(report.solution, key)
     return replace(
         report,
         masked_solution=report.solution,
         solution=decrypted,
-        relative_error=float(np.linalg.norm(decrypted - plaintext)
-                             / np.linalg.norm(plaintext)),
+        relative_error=relative_error(decrypted, classical_solve(system)),
     )

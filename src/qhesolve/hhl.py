@@ -21,7 +21,7 @@ overlap with A^-1 b for positive-definite systems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +39,11 @@ class SolverError(ValueError):
     pass
 
 
+def _exponent(values: np.ndarray) -> int:
+    """e with max|values| in [2^(e-1), 2^e): dividing by 2^e is exact."""
+    return math.frexp(max(map(abs, values.ravel().tolist())))[1]
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """A x = b with a real symmetric positive-definite 2x2 matrix."""
@@ -53,38 +58,33 @@ class LinearSystem:
             raise SolverError("expected a 2x2 matrix and a 2-vector")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise SolverError("matrix and right-hand side must be finite")
-        # Python floats overflow to inf and underflow to 0 with no warning
-        (a00, a01), (a10, a11) = a.tolist()
-        b0, b1 = b.tolist()
-        det, bb = a00 * a11 - a01 * a10, b0 * b0 + b1 * b1
-        if not (math.isfinite(det) and math.isfinite(bb)):
-            raise SolverError("system too large: det(A) or b.b overflows")
-        # every solve divides by ||b||, which underflows to 0 below ~1e-162
-        if bb == 0:
+        if not b.any():  # every solve divides by ||b||
             raise SolverError("right-hand side must be nonzero")
+        (a00, a01), (a10, a11) = np.ldexp(a, -_exponent(a)).tolist()
         if abs(a01 - a10) > 1e-12:
             raise SolverError("matrix must be symmetric")
-        if abs(det) <= 1e-9:
+        det = a00 * a11 - a01 * a10
+        if abs(det) <= 1e-9 * (abs(a00 * a11) + abs(a01 * a10)):  # cancels
             raise SolverError("matrix is singular")
         if a00 <= 0 or det <= 0:
             raise SolverError("matrix must be positive definite")
-        # every report divides by ||A^-1 b||: x in classical_solve's order
-        x0 = a11 / det * b0 - a01 / det * b1
-        x1 = a00 / det * b1 - a10 / det * b0
-        if not 0 < x0 * x0 + x1 * x1 < math.inf:
-            raise SolverError("system out of range: x.x overflows or underflows")
         a.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        with np.errstate(over="ignore"):  # an answer beyond range is inf
+            norm = math.hypot(*classical_solve(self).tolist())
+        if not 2.0 ** -1022 <= norm < math.inf:  # reports divide by ||x||
+            raise SolverError("solution outside the float range")
 
 
 @dataclass(frozen=True)
 class EigenDecomp:
-    """A = r^T diag(lambdas) r; rows of r are the eigenvectors."""
+    """A = 2^exponent r^T diag(lambdas) r; rows of r are the eigenvectors."""
 
     lambdas: tuple[float, float]
     r: np.ndarray
+    exponent: int = 0
 
     @property
     def lambda1(self) -> float:
@@ -177,10 +177,10 @@ def report_to_text(report: SolutionReport) -> str:
 
 def classical_solve(system: LinearSystem) -> np.ndarray:
     """Closed-form 2x2 inversion; the oracle every quantum result is held to."""
-    a, b = system.a, system.b
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
-    return inv @ b
+    ea, eb = _exponent(system.a), _exponent(system.b)
+    (a00, a01), (a10, a11) = np.ldexp(system.a, -ea).tolist()
+    inv = np.array([[a11, -a01], [-a10, a00]]) / (a00 * a11 - a01 * a10)
+    return np.ldexp(inv @ np.ldexp(system.b, -eb), eb - ea)
 
 
 def eigendecompose(a: np.ndarray) -> EigenDecomp:
@@ -303,12 +303,13 @@ def uniformly_controlled_ry(controls: list[int], target: int,
 
 
 def resolve_c(eig: EigenDecomp, config: SolverConfig) -> float:
-    """The inversion constant: config value, or the default lambda_min."""
-    c = config.c_constant if config.c_constant is not None else eig.lambda_min
-    if not 0 < c <= eig.lambda_min + 1e-12:
+    """The inversion constant for eig: config value, or lambda_min."""
+    lam = math.ldexp(eig.lambda_min, eig.exponent)  # in A's units
+    c = lam if config.c_constant is None else config.c_constant
+    if not 0 < c <= lam + math.ldexp(1e-12, eig.exponent):
         raise SolverError(
-            f"c must satisfy 0 < c <= lambda_min ({eig.lambda_min}), got {c}")
-    return float(min(c, eig.lambda_min))
+            f"c must satisfy 0 < c <= lambda_min ({lam}), got {c}")
+    return float(min(math.ldexp(c, -eig.exponent), eig.lambda_min))
 
 
 def _populated_branch(eig: EigenDecomp, b_unit: np.ndarray) -> int:
@@ -449,6 +450,13 @@ def _canonical_sign(vec: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return vec
 
 
+def relative_error(got: np.ndarray, want: np.ndarray) -> float:
+    """||got - want|| / ||want||, each norm in its own power-of-two frame."""
+    ed, ew = _exponent(got - want), _exponent(want)
+    d, w = np.ldexp(got - want, -ed), np.ldexp(want, -ew)
+    return math.ldexp(math.sqrt(d @ d) / math.sqrt(w @ w), ed - ew)
+
+
 def extract_solution(expectations: PauliExpectations,
                      success_probability: float, b_norm: float, *,
                      c_value: float, b_unit: np.ndarray,
@@ -470,8 +478,6 @@ def extract_solution(expectations: PauliExpectations,
     normalized = _canonical_sign(np.array([a0, a1]), b_unit)
     scale = b_norm * math.sqrt(success_probability) / c_value
     solution = scale * normalized
-
-    ideal_norm = np.linalg.norm(ideal)
     return SolutionReport(
         normalized_solution=normalized,
         success_probability=float(success_probability),
@@ -479,8 +485,8 @@ def extract_solution(expectations: PauliExpectations,
         solution=solution,
         expectations=expectations,
         fidelity_vs_ideal=qsim.fidelity_from_expectations(
-            expectations, ideal / ideal_norm),
-        relative_error=float(np.linalg.norm(solution - ideal) / ideal_norm),
+            expectations, ideal / np.linalg.norm(ideal)),
+        relative_error=relative_error(solution, ideal),
     )
 
 
@@ -536,11 +542,13 @@ def submit_solve(system: LinearSystem, config: SolverConfig,
 
     The job carries only the compiled circuit; ||b|| stays here for scale
     recovery. With no server it runs in-process through the server's own
-    request handling.
+    request handling. It solves A/2^ea, b/2^eb, then scales by 2^(eb-ea).
     """
-    eig = eigendecompose(system.a)
-    b_norm = float(np.linalg.norm(system.b))
-    b_unit = system.b / b_norm
+    ea, eb = _exponent(system.a), _exponent(system.b)
+    a, b = np.ldexp(system.a, -ea), np.ldexp(system.b, -eb)
+    eig = replace(eigendecompose(a), exponent=ea)  # c_constant in A's units
+    b_norm = float(np.linalg.norm(b))
+    b_unit = b / b_norm
     circuit, c_value = compile_solver_circuit(eig, b_unit, config)
     sampled = config.execution == "sampled"
     job = qserve.Job(
@@ -570,5 +578,11 @@ def submit_solve(system: LinearSystem, config: SolverConfig,
             prob = float(response["success_probability"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise qserve.TransportError(f"malformed reply: {exc!r}") from None
-    return extract_solution(expectations, prob, b_norm, c_value=c_value,
-                            b_unit=b_unit, ideal=classical_solve(system))
+    report = extract_solution(expectations, prob, b_norm, c_value=c_value,
+                              b_unit=b_unit,
+                              ideal=np.ldexp(classical_solve(system), ea - eb))
+    if math.frexp(report.scale)[1] + eb - ea > 1024:  # sampled can overshoot
+        raise SolverError("solution outside the float range")
+    report.scale = math.ldexp(report.scale, eb - ea)
+    report.solution = report.scale * report.normalized_solution
+    return report

@@ -1,4 +1,6 @@
 """CLI behavior: determinism, exit codes, and the documented examples."""
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,9 +8,13 @@ import socket
 import subprocess
 import sys
 import threading
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qhesolve
 from qhesolve import fixtures, hecrypt, hhl, qserve, qsim
@@ -190,27 +196,127 @@ def test_zero_right_hand_side_is_refused(capsys):
     assert err == "error: right-hand side must be nonzero\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["--matrix", "0.7,0.3,0.3,0.7", "--rhs", "1e200,1e200", "--key", "1,0"],
-    ["--matrix", "0.7,0.3,0.3,0.7", "--rhs", "1e154,1e154", "--key", "0,0"],
-    ["--matrix", "1e300,0,0,1e300", "--rhs", "1,1", "--key", "0,0"],
-], ids=["rhs_norm", "rhs_norm_squared", "determinant"])
-def test_overflowing_system_is_refused(capsys, argv):
-    status, out, err = run_cli(capsys, ["solve", *argv])
-    assert (status, out) == (1, "")
-    assert err == "error: system too large: det(A) or b.b overflows\n"
+def exact_solve(a, b):
+    """A^-1 b in exact rational arithmetic, for a 2x2 A given row by row."""
+    (a00, a01), (a10, a11) = [[Fraction(v) for v in row] for row in a]
+    b0, b1 = map(Fraction, b)
+    det = a00 * a11 - a01 * a10
+    return [(a11 * b0 - a01 * b1) / det, (a00 * b1 - a10 * b0) / det]
+
+
+def exact_distance(got, want):
+    """||got - want|| and ||want|| as exact squares: no float can overflow."""
+    return (sum((Fraction(g) - w) ** 2 for g, w in zip(got, want)),
+            sum(w * w for w in want))
+
+
+@pytest.mark.parametrize("matrix,rhs,key", [
+    ("0.7,0.3,0.3,0.7", "1e200,1e200", "1,0"),
+    ("0.7,0.3,0.3,0.7", "1e154,1e154", "0,0"),
+    ("1e300,0,0,1e300", "1,1", "0,0"),
+    ("1e10,0,0,1e-10", "1e153,1e153", "0,0"),
+    ("1e150,0,0,1e150", "1e-150,1e-150", "1,0"),
+    ("0.7,0.3,0.3,0.7", "1e-200,0", "0,0"),
+    ("2e-5,0,0,1e-5", "1,1", "0,0"),
+    ("1.3e148,0.4e148,0.4e148,0.9e148", "1e-89,2e-89", "0,1"),
+], ids=["rhs_norm", "rhs_norm_squared", "determinant", "solution_large",
+        "solution_small", "norm_underflows", "condition_two",
+        "key_dominates"])
+def test_system_at_any_scale_solves(capsys, matrix, rhs, key):
+    status, out, err = run_cli(capsys, ["solve", f"--matrix={matrix}",
+                                        f"--rhs={rhs}", "--key", key])
+    assert status == 0, err
+    values = report_values(out)
+    a = np.array(matrix.split(","), dtype=float).reshape(2, 2)
+    b = np.array(rhs.split(","), dtype=float)
+    mask = np.array(key.split(","), dtype=float)
+    # the server's answer y = A^-1 (b - A a), exactly as encrypt rounds b - A a
+    masked = [values["masked_solution_1"], values["masked_solution_2"]]
+    miss, norm = exact_distance(masked, exact_solve(a, b - a @ mask))
+    assert miss <= Fraction(1, 10**18) * norm
+    # x = y + a keeps the digits of x only down to those of the key a
+    x = [values["solution_1"], values["solution_2"]]
+    miss, norm = exact_distance(x, exact_solve(a, b))
+    assert miss <= Fraction(1, 10**18) * (norm + int(mask @ mask))
 
 
 @pytest.mark.parametrize("argv", [
-    ["--matrix=1e10,0,0,1e-10", "--rhs=1e153,1e153", "--key", "0,0"],
-    ["--matrix=1e150,0,0,1e150", "--rhs=1e-150,1e-150", "--key", "1,0"],
+    ["--matrix=1e-300,0,0,1e-300", "--rhs=1e300,1e300", "--key", "0,0"],
+    ["--matrix=1e300,0,0,1e300", "--rhs=1e-300,1e-300", "--key", "0,0"],
 ], ids=["solution_overflows", "solution_underflows"])
 def test_out_of_range_solution_is_refused(capsys, argv):
-    # det(A) and b.b are finite, but x.x of x = A^-1 b is not a positive float
+    # x = A^-1 b is 1e600 or 1e-600: no float holds it
     status, out, err = run_cli(capsys, ["solve", *argv, "--mode", "exact",
                                         "--execution", "analytic"])
     assert (status, out) == (1, "")
-    assert err == "error: system out of range: x.x overflows or underflows\n"
+    assert err == "error: solution outside the float range\n"
+
+
+def test_asymmetric_system_is_refused_at_any_scale(capsys):
+    # 50% asymmetric, though a01 - a10 is only 5e-13 in these units
+    status, out, err = run_cli(capsys, [
+        "solve", "--matrix=2e-12,1e-12,1.5e-12,1e-12", "--rhs=1,1",
+        "--key", "0,0"])
+    assert (status, out) == (1, "")
+    assert err == "error: matrix must be symmetric\n"
+
+
+def test_c_constant_is_given_in_the_units_of_a(capsys):
+    flags = ["solve", "--matrix=2e-300,0,0,1e-300", "--rhs=1e-300,1e-300",
+             "--key", "0,0", "--c-constant"]
+    status, out, err = run_cli(capsys, [*flags, "2e-300"])
+    assert (status, out) == (1, "")
+    assert err == ("error: c must satisfy 0 < c <= lambda_min (1e-300), "
+                   "got 2e-300\n")
+    status, out, err = run_cli(capsys, [*flags, "5e-301"])
+    assert status == 0, err
+    assert report_values(out)["relative_error"] < 1e-12
+
+
+@st.composite
+def solve_flags(draw):
+    """--matrix, --rhs and --key at power-of-ten scales over the float range:
+    rotated SPD matrices of condition <= 15, and asymmetric, indefinite and
+    singular ones."""
+    kind = draw(st.sampled_from(["spd", "spd", "spd", "asymmetric",
+                                 "indefinite", "singular"]))
+    lam1 = draw(st.floats(0.5, 2.0))
+    lam2 = {"indefinite": -1.0, "singular": 0.0}.get(kind, 1.0) * lam1 / draw(
+        st.floats(1.0, 15.0))
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    c, s = math.cos(phi), math.sin(phi)
+    a = [c * c * lam1 + s * s * lam2, c * s * (lam1 - lam2),
+         c * s * (lam1 - lam2), s * s * lam1 + c * c * lam2]
+    if kind == "asymmetric":
+        a[2] += draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.01, 1.0))
+    b = [draw(st.floats(-2.0, 2.0)) for _ in range(2)]
+    scale_a, scale_b = (10.0 ** draw(st.integers(-300, 300)) for _ in "ab")
+    return [f"--matrix={','.join(repr(v * scale_a) for v in a)}",
+            f"--rhs={','.join(repr(v * scale_b) for v in b)}",
+            "--key", draw(st.sampled_from(["0,0", "0,1", "1,0", "1,1"]))]
+
+
+def test_solve_either_reports_finite_values_or_exits_one():
+    # a total client: any finite system solves with a finite report or is
+    # refused with one error line, in both executions, and never warns
+    def one_outcome(flags):
+        for execution in (["--execution", "analytic"],
+                          ["--execution", "sampled", "--shots", "64"]):
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                status = main(["solve", *flags, *execution])
+            out, err = out.getvalue(), err.getvalue()
+            if status == 0:
+                assert err == ""
+                assert all(map(math.isfinite, report_values(out).values()))
+            else:
+                assert (status, out) == (1, "")
+                assert err.startswith("error: ") and err.count("\n") == 1
+
+    settings(derandomize=True, deadline=None, database=None,
+             max_examples=150)(given(solve_flags())(one_outcome))()
 
 
 def test_solve_key_seed_generates_key(capsys):
