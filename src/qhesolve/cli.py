@@ -77,7 +77,7 @@ def _cmd_solve(args) -> int:
     if args.key is not None:
         key = hecrypt.MaskKey(tuple(int(b) for b in args.key.split(",")))
     elif args.key_seed is not None:
-        key = hecrypt.keygen(2, args.key_seed)
+        key = hecrypt.keygen(args.key_seed)
     else:
         raise ValueError("provide --key or --key-seed")
 
@@ -323,7 +323,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError, qserve.TransportError,
             qserve.ServerError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)  # may quote a server's reply: keep it one line
+        print(f"error: {message if message.isprintable() else repr(message)}",
+              file=sys.stderr)
         return 1
 
 

@@ -5,8 +5,8 @@ substituting x = y + a gives A y = b', b' = b - A a. The server only ever
 sees (A, b') through the submitted circuit; the key never leaves this module.
 Results decrypt as x = y + a.
 
-The matrix A stays public by construction, so the key space is 2^n; the
-scheme is reproduced as designed, without hardening.
+The matrix A stays public by construction, so the key space is the four
+2-bit keys; the scheme is reproduced as designed, without hardening.
 """
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hhl import (LinearSystem, SolutionReport, SolverConfig, classical_solve,
-                  relative_error, submit_solve)
+from .hhl import (LinearSystem, SolutionReport, SolverConfig, relative_error,
+                  submit_solve)
 
 
 class MaskingError(ValueError):
@@ -29,8 +29,6 @@ class MaskKey:
     a: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.a:
-            raise MaskingError("key must have at least one component")
         if any(bit not in (0, 1) for bit in self.a):
             raise MaskingError("key components must be 0 or 1")
 
@@ -38,12 +36,10 @@ class MaskKey:
         return np.array(self.a, dtype=float)
 
 
-def keygen(n: int, seed: int) -> MaskKey:
-    """Uniform binary key; deterministic for a fixed seed."""
-    if n < 1:
-        raise MaskingError("key length must be >= 1")
+def keygen(seed: int) -> MaskKey:
+    """Uniform 2-bit key; deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
-    return MaskKey(tuple(int(b) for b in rng.integers(0, 2, size=n)))
+    return MaskKey(tuple(int(b) for b in rng.integers(0, 2, size=2)))
 
 
 def encrypt(system: LinearSystem, key: MaskKey) -> LinearSystem:
@@ -60,9 +56,6 @@ def encrypt(system: LinearSystem, key: MaskKey) -> LinearSystem:
 
 def decrypt(result: np.ndarray, key: MaskKey) -> np.ndarray:
     """Unmask a solution vector: x_i = r_i + a_i."""
-    result = np.asarray(result, dtype=float)
-    if result.shape != (len(key.a),):
-        raise MaskingError("result length must match the key")
     return result + key.vector()
 
 
@@ -83,5 +76,5 @@ def solve_encrypted(system: LinearSystem, key: MaskKey,
         report,
         masked_solution=report.solution,
         solution=decrypted,
-        relative_error=relative_error(decrypted, classical_solve(system)),
+        relative_error=relative_error(decrypted, system.x),
     )

@@ -21,7 +21,7 @@ overlap with A^-1 b for positive-definite systems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -46,10 +46,13 @@ def _exponent(values: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """A x = b with a real symmetric positive-definite 2x2 matrix."""
+    """A x = b with a real symmetric positive-definite 2x2 matrix. x = A^-1 b,
+    solved once in closed form, is the oracle every quantum result is held
+    to."""
 
     a: np.ndarray
     b: np.ndarray
+    x: np.ndarray = field(init=False)
 
     def __post_init__(self):
         a = np.array(self.a, dtype=float)  # copy: the originals stay writable
@@ -60,7 +63,8 @@ class LinearSystem:
             raise SolverError("matrix and right-hand side must be finite")
         if not b.any():  # every solve divides by ||b||
             raise SolverError("right-hand side must be nonzero")
-        (a00, a01), (a10, a11) = np.ldexp(a, -_exponent(a)).tolist()
+        ea, eb = _exponent(a), _exponent(b)
+        (a00, a01), (a10, a11) = np.ldexp(a, -ea).tolist()
         if abs(a01 - a10) > 1e-12:
             raise SolverError("matrix must be symmetric")
         det = a00 * a11 - a01 * a10
@@ -68,14 +72,15 @@ class LinearSystem:
             raise SolverError("matrix is singular")
         if a00 <= 0 or det <= 0:
             raise SolverError("matrix must be positive definite")
-        a.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
         with np.errstate(over="ignore"):  # an answer beyond range is inf
-            norm = math.hypot(*classical_solve(self).tolist())
+            inv = np.array([[a11, -a01], [-a10, a00]]) / det
+            x = np.ldexp(inv @ np.ldexp(b, -eb), eb - ea)
+        norm = math.hypot(*x.tolist())
         if not 2.0 ** -1022 <= norm < math.inf:  # reports divide by ||x||
             raise SolverError("solution outside the float range")
+        for name, value in (("a", a), ("b", b), ("x", x)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -173,14 +178,6 @@ class SolutionReport:
 def report_to_text(report: SolutionReport) -> str:
     """Flat key=value record, 12 significant digits per value."""
     return "\n".join(f"{k}={v:.12g}" for k, v in report.as_records()) + "\n"
-
-
-def classical_solve(system: LinearSystem) -> np.ndarray:
-    """Closed-form 2x2 inversion; the oracle every quantum result is held to."""
-    ea, eb = _exponent(system.a), _exponent(system.b)
-    (a00, a01), (a10, a11) = np.ldexp(system.a, -ea).tolist()
-    inv = np.array([[a11, -a01], [-a10, a00]]) / (a00 * a11 - a01 * a10)
-    return np.ldexp(inv @ np.ldexp(system.b, -eb), eb - ea)
 
 
 def eigendecompose(a: np.ndarray) -> EigenDecomp:
@@ -576,11 +573,15 @@ def submit_solve(system: LinearSystem, config: SolverConfig,
                 [complex(re, im) for re, im in response["amplitudes"]])
             expectations = qsim.analytic_expectations(state, STATE_QUBIT)
             prob = float(response["success_probability"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        if not all(map(math.isfinite, (prob, expectations.z, expectations.x,
+                                       expectations.y))):  # json reads NaN
+            raise ValueError("non-finite numbers in the reply")
+    except (ArithmeticError, AttributeError, KeyError, TypeError,
+            ValueError) as exc:
         raise qserve.TransportError(f"malformed reply: {exc!r}") from None
     report = extract_solution(expectations, prob, b_norm, c_value=c_value,
                               b_unit=b_unit,
-                              ideal=np.ldexp(classical_solve(system), ea - eb))
+                              ideal=np.ldexp(system.x, ea - eb))
     if math.frexp(report.scale)[1] + eb - ea > 1024:  # sampled can overshoot
         raise SolverError("solution outside the float range")
     report.scale = math.ldexp(report.scale, eb - ea)

@@ -89,7 +89,7 @@ class StateVector:
             raise SimulationError(
                 f"expected {2 ** self.n_qubits} amplitudes, got {amps.shape}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # also refuses a nan amplitude
             raise SimulationError(f"state norm {norm} is not 1")
         amps = amps.copy()
         amps.flags.writeable = False
@@ -427,9 +427,13 @@ def check_bloch_ball(e: PauliExpectations) -> float:
 
     Finite shots bias |r|^2 up by sum(sigma_i^2) and spread it by
     2 sqrt(sum(e_i^2 sigma_i^2)) (delta method); an excess over 1 beyond
-    that bias plus five such spreads is inconsistent tomography.
+    that bias plus five such spreads is inconsistent tomography. Each sigma
+    counts as at least 1/N for N shots per basis: when all N shots of a
+    basis agree, the plug-in sigma is 0 but the expectation is not exact.
     """
-    pairs = ((e.x, e.sigma_x), (e.y, e.sigma_y), (e.z, e.sigma_z))
+    floor = 1.0 / e.shots_per_basis if e.shots_per_basis else 0.0
+    pairs = ((e.x, max(e.sigma_x, floor)), (e.y, max(e.sigma_y, floor)),
+             (e.z, max(e.sigma_z, floor)))
     nsq = sum(v * v for v, _ in pairs)
     bias = sum(s * s for _, s in pairs)
     spread = 2.0 * math.sqrt(sum((v * s) ** 2 for v, s in pairs))

@@ -1,5 +1,6 @@
 """CLI behavior: determinism, exit codes, and the documented examples."""
 import contextlib
+import copy
 import io
 import json
 import math
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import qhesolve
 from qhesolve import fixtures, hecrypt, hhl, qserve, qsim
 from qhesolve.cli import build_parser, main
+from test_qserve import JSON_VALUES, ODD
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -137,9 +139,10 @@ def reply_once(reply: bytes):
 
 
 def sampled_reply(bases):
+    # kept shots split evenly in every basis: a Bloch vector of 0, consistent
     return json.dumps({"id": "solve-exact-sampled", "results": [
-        {"basis": b, "qubit": 0, "counts": {"000": 8}, "raw_shots": raw,
-         "kept_shots": 8} for b, raw in bases]}).encode()
+        {"basis": b, "qubit": 0, "counts": {"000": 4, "100": 4},
+         "raw_shots": raw, "kept_shots": 8} for b, raw in bases]}).encode()
 
 
 # (execution, reply bytes)
@@ -154,6 +157,21 @@ MALFORMED_REPLIES = {
     "no_z_result": ("sampled", sampled_reply([("X", 8), ("Y", 8)])),
     "no_raw_shots": ("sampled", sampled_reply([("Z", 0), ("X", 0), ("Y", 0)])),
     "nested": ("analytic", b"[" * 100_000),
+    # json.loads reads NaN and Infinity, and float() reads "nan"
+    **{f"{name}_probability": ("analytic", json.dumps({
+        "id": "solve-exact-analytic",
+        "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 7,
+        "success_probability": value}).encode())
+       for name, value in (("nan", math.nan), ("infinite", math.inf),
+                           ("text_nan", "nan"))},
+    "nan_amplitude": ("analytic", json.dumps({
+        "id": "solve-exact-analytic",
+        "amplitudes": [[1.0, 0.0], [math.nan, 0.0]] + [[0.0, 0.0]] * 6,
+        "success_probability": 0.5}).encode()),
+    "nan_raw_shots": ("sampled", sampled_reply([("Z", math.nan), ("X", 8),
+                                                ("Y", 8)])),
+    "multiline_error": ("analytic", json.dumps({
+        "error": "bad_request", "detail": "no\nerror: forged"}).encode()),
 }
 
 
@@ -169,6 +187,80 @@ def test_malformed_server_reply_is_one_error_line(capsys, execution, reply):
     assert not thread.is_alive()
     assert (status, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _slots(node):
+    """Every (container, key) pair inside a JSON value, depth first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield node, key
+        yield from _slots(child)
+
+
+ODD_REPLY_VALUES = ODD | st.sampled_from(["nan", "Infinity", "a\nb"])
+
+
+@st.composite
+def near_miss_reply(draw, real):
+    """A real reply with one entry, at any depth, replaced by an odd value
+    or deleted, or with an error field added."""
+    reply = copy.deepcopy(real)
+    node, key = draw(st.sampled_from(list(_slots(reply))))
+    action = draw(st.sampled_from(["replace", "delete", "error"]))
+    if action == "replace":
+        node[key] = draw(ODD_REPLY_VALUES)
+    elif action == "delete":
+        del node[key]
+    else:
+        reply["error"] = draw(ODD_REPLY_VALUES)
+    return reply
+
+
+def test_any_server_reply_gives_a_finite_report_or_one_error_line(
+        capsys, monkeypatch):
+    # the client is total on replies: any JSON value, or a real reply with
+    # one odd entry, ends in a finite report or in one error line
+    solve = ["solve", "--fixture", "eq7", "--key", "1,0", "--shots", "64"]
+    real, handle = {}, qserve.handle_request  # the replies of a real server
+    for execution in ("analytic", "sampled"):
+        monkeypatch.setattr(qserve, "handle_request", lambda data: (
+            real.setdefault(execution, handle(data))))
+        assert run_cli(capsys, [*solve, "--execution", execution])[0] == 0
+    monkeypatch.undo()
+
+    def one_outcome(case):
+        execution, reply = case
+        address, thread = reply_once(json.dumps(reply).encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out, err = run_cli(capsys, [
+                *solve, "--execution", execution, "--server", address])
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        if status == 0:
+            assert err == ""
+            assert all(map(math.isfinite, report_values(out).values()))
+        else:
+            assert (status, out) == (1, "")
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    cases = st.sampled_from(sorted(real)).flatmap(lambda execution: st.tuples(
+        st.just(execution), near_miss_reply(real[execution]) | JSON_VALUES))
+    settings(derandomize=True, deadline=None, database=None,
+             max_examples=100)(given(cases)(one_outcome))()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--key", "1"], "key length must match the system dimension"),
+    (["--key", "1,0,1"], "key length must match the system dimension"),
+    (["--key", "2,0"], "key components must be 0 or 1"),
+    (["--key", "1", "--theta-override", "1", "--theta-override-deg", "1"],
+     "--theta-override given in both units"),
+], ids=["one_bit", "three_bits", "not_binary", "angle_in_both_units_first"])
+def test_bad_key_is_refused_in_one_line(capsys, flags, message):
+    status, out, err = run_cli(capsys, ["solve", "--fixture", "eq7", *flags])
+    assert (status, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("port", ["70000", "-1"])
@@ -261,6 +353,17 @@ def test_asymmetric_system_is_refused_at_any_scale(capsys):
     assert err == "error: matrix must be symmetric\n"
 
 
+def test_few_shots_that_all_agree_are_consistent_tomography(capsys):
+    # 64 shots keep about one per basis; every kept shot agrees, so every
+    # plug-in sigma is 0, and the check allows one shot's worth of spread
+    status, out, err = run_cli(capsys, [
+        "solve", "--matrix=5e-107,0.0,0.0,7.224388570257488e-108",
+        "--rhs=1.470426828897976e+58,0.0", "--key", "1,1",
+        "--execution", "sampled", "--shots", "64"])
+    assert status == 0, err
+    assert all(map(math.isfinite, report_values(out).values()))
+
+
 def test_c_constant_is_given_in_the_units_of_a(capsys):
     flags = ["solve", "--matrix=2e-300,0,0,1e-300", "--rhs=1e-300,1e-300",
              "--key", "0,0", "--c-constant"]
@@ -342,7 +445,7 @@ SUBSTITUTED_SOLVES = {
         ["--matrix=1.3151844762863751,0.1035883042703736,"
          "0.1035883042703736,1.3151844762863751",
          "--rhs=-1.830819575104107,-1.0349728241419118", "--key-seed", "13",
-         "--mode", "replica"], PERSYMMETRIC, hecrypt.keygen(2, 13).a),
+         "--mode", "replica"], PERSYMMETRIC, hecrypt.keygen(13).a),
 }
 
 
@@ -356,7 +459,7 @@ def test_substituted_solve_agrees_across_executions(capsys, name):
         assert status == 0, err
         reports[execution] = report_values(out)
     masked = hecrypt.encrypt(system, hecrypt.MaskKey(key))
-    ideal = hhl.classical_solve(masked)
+    ideal = masked.x
     point = qsim.bloch_point(ideal / np.linalg.norm(ideal))
     sampled = reports["sampled"]
     # fidelity = (1 + r . ideal point) / 2, so its sigma follows the sigmas

@@ -10,7 +10,7 @@ from conftest import random_symmetric_pd, random_unit_vector
 from qhesolve import fixtures, hhl
 from qhesolve.hecrypt import (MaskKey, MaskingError, decrypt, encrypt, keygen,
                               solve_encrypted)
-from qhesolve.hhl import LinearSystem, SolverConfig, classical_solve
+from qhesolve.hhl import LinearSystem, SolverConfig
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -20,18 +20,13 @@ SQ2 = 1 / math.sqrt(2)
 # ---------------------------------------------------------------------------
 
 def test_keygen_deterministic():
-    assert keygen(2, seed=99) == keygen(2, seed=99)
+    assert keygen(seed=99) == keygen(seed=99)
 
 
 def test_keygen_components_binary():
     for seed in range(20):
-        key = keygen(4, seed=seed)
-        assert all(bit in (0, 1) for bit in key.a)
-
-
-def test_keygen_rejects_empty():
-    with pytest.raises(MaskingError):
-        keygen(0, seed=1)
+        key = keygen(seed=seed)
+        assert len(key.a) == 2 and all(bit in (0, 1) for bit in key.a)
 
 
 def test_fixture_key_accepted():
@@ -67,6 +62,13 @@ def test_encrypt_leaves_matrix_bit_identical():
     assert masked.a.tobytes() == system.a.tobytes()
 
 
+@pytest.mark.parametrize("bits", [(), (1,), (1, 0, 1)],
+                         ids=["empty", "one_bit", "three_bits"])
+def test_encrypt_refuses_a_key_of_the_wrong_length(bits):
+    with pytest.raises(MaskingError, match="key length must match"):
+        encrypt(fixtures.eq7(), MaskKey(bits))
+
+
 def test_encrypt_rejects_vanishing_mask():
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
     system = LinearSystem(a, np.array([1.0, 0.0]))
@@ -85,7 +87,7 @@ def test_decrypt_examples():
 def test_decrypt_inverts_subtraction():
     rng = np.random.default_rng(8)
     for _ in range(100):
-        key = keygen(2, seed=int(rng.integers(1 << 31)))
+        key = keygen(seed=int(rng.integers(1 << 31)))
         vec = rng.normal(size=2)
         assert np.allclose(decrypt(vec - key.vector(), key), vec, atol=1e-12)
 
@@ -99,14 +101,14 @@ def test_homomorphism_classical_backend():
     for _ in range(1000):
         system = LinearSystem(random_symmetric_pd(rng),
                               rng.normal(size=2) * rng.uniform(0.5, 2.0))
-        key = keygen(2, seed=int(rng.integers(1 << 31)))
+        key = keygen(seed=int(rng.integers(1 << 31)))
         try:
             masked = encrypt(system, key)
         except MaskingError:
             continue
-        inner = classical_solve(masked)
+        inner = masked.x
         got = decrypt(inner, key)
-        assert np.allclose(got, classical_solve(system), atol=1e-9)
+        assert np.allclose(got, system.x, atol=1e-9)
 
 
 def test_homomorphism_quantum_backend_sample():
@@ -114,14 +116,14 @@ def test_homomorphism_quantum_backend_sample():
     rng = np.random.default_rng(616)
     for _ in range(25):
         system = LinearSystem(random_symmetric_pd(rng), random_unit_vector(rng))
-        key = keygen(2, seed=int(rng.integers(1 << 31)))
+        key = keygen(seed=int(rng.integers(1 << 31)))
         try:
             masked = encrypt(system, key)
         except MaskingError:
             continue
         report = hhl.submit_solve(masked, SolverConfig(mode="exact"))
         got = decrypt(report.solution, key)
-        want = classical_solve(system)
+        want = system.x
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-6
 
 

@@ -1,9 +1,10 @@
 """Solver-construction tests.
 
-classical_solve is itself checked against numpy's solver, then serves as the
-oracle for every quantum pipeline: exact-mode analytic runs must reproduce it
-to 1e-6 over random positive-definite systems, and the general
-phase-estimation circuit must agree with the optimized one.
+LinearSystem's closed-form x = A^-1 b is itself checked against numpy's
+solver, then serves as the oracle for every quantum pipeline: exact-mode
+analytic runs must reproduce it to 1e-6 over random positive-definite
+systems, and the general phase-estimation circuit must agree with the
+optimized one.
 """
 import math
 
@@ -15,7 +16,7 @@ from qhesolve import circ, qserve, qsim
 from qhesolve.hhl import (ANCILLA_QUBIT, STATE_QUBIT, EigenDecomp,
                           LinearSystem, SolverConfig, SolverError,
                           build_general_circuit, build_optimized_circuit,
-                          choose_t0, classical_solve, compile_solver_circuit,
+                          choose_t0, compile_solver_circuit,
                           eigendecompose, extract_solution, prepare_b,
                           qft_gates, report_to_text, rotation_angle_exact,
                           rotation_angle_replica, rz_gates, submit_solve,
@@ -30,25 +31,27 @@ B_MASKED_EQ8 = np.array([SQ2, -SQ2])
 
 
 # ---------------------------------------------------------------------------
-# classical_solve / eigendecompose
+# LinearSystem.x / eigendecompose
 # ---------------------------------------------------------------------------
 
 def test_classical_solve_first_fixture():
     system = LinearSystem(A_EQ7, np.array([SQ2 + 0.7, SQ2 + 0.3]))
     want = np.array([1 + SQ2, SQ2])
-    assert np.allclose(classical_solve(system), want, atol=1e-12)
-    assert np.allclose(classical_solve(system),
+    assert np.allclose(system.x, want, atol=1e-12)
+    assert np.allclose(system.x,
                        np.linalg.solve(system.a, system.b), atol=1e-12)
 
 
 def test_classical_solve_identity():
     system = LinearSystem(np.eye(2), np.array([3.0, 4.0]))
-    assert np.allclose(classical_solve(system), [3.0, 4.0])
+    assert np.allclose(system.x, [3.0, 4.0])
+    with pytest.raises(ValueError, match="read-only"):
+        system.x[0] = 0.0
 
 
 def test_classical_solve_second_fixture():
     system = LinearSystem(A_EQ8, np.array([SQ2 + 1.75, -SQ2 + 0.75]))
-    assert np.allclose(classical_solve(system), [1 + SQ2, -SQ2], atol=1e-12)
+    assert np.allclose(system.x, [1 + SQ2, -SQ2], atol=1e-12)
 
 
 def test_singular_matrix_rejected():
@@ -420,7 +423,7 @@ def test_oracle_equivalence_exact_mode():
         b = random_unit_vector(rng)
         system = LinearSystem(a, b)
         report = submit_solve(system, SolverConfig(mode="exact"))
-        want = classical_solve(system)
+        want = system.x
         err = np.linalg.norm(report.solution - want) / np.linalg.norm(want)
         assert err < 1e-6
 
@@ -453,7 +456,7 @@ def test_report_scales_exactly_with_the_units(execution):
         a = random_symmetric_pd(rng, max_condition=15.0)
         b = random_unit_vector(rng)
         base = _report_or_error(LinearSystem(a, b), config)
-        x = classical_solve(LinearSystem(a, b))
+        x = LinearSystem(a, b).x
         answers = [x] if isinstance(base, str) else [x, base.solution]
         while True:
             k, j = (int(e) for e in rng.integers(-1000, 1001, size=2))
@@ -491,7 +494,7 @@ def test_sampled_execution_close_to_oracle():
     config = SolverConfig(mode="exact", execution="sampled", shots=8192,
                           seed=11)
     report = submit_solve(system, config)
-    want = classical_solve(system)
+    want = system.x
     err = np.linalg.norm(report.solution - want) / np.linalg.norm(want)
     assert err < 0.05
     assert report.expectations.shots_per_basis > 0

@@ -601,6 +601,18 @@ def test_fidelity_rejects_inconsistent_tomography():
         fidelity_from_expectations(e, StateVector.zero(1))
 
 
+@pytest.mark.parametrize("shots", [1, 8192])
+def test_agreeing_shots_count_as_one_shot_of_spread(shots):
+    # every shot of each basis agrees, so every plug-in sigma is 0: one shot
+    # per basis may read (1, 1, 1), while 8,192 shots may not
+    e = PauliExpectations(z=1.0, x=1.0, y=1.0, shots_per_basis=shots)
+    if shots == 1:
+        assert qsim.check_bloch_ball(e) == 3.0
+    else:
+        with pytest.raises(SimulationError, match="inconsistent"):
+            qsim.check_bloch_ball(e)
+
+
 def test_fidelity_clamps_statistical_overshoot():
     e = PauliExpectations(z=1.002, x=0.0, y=0.0, sigma_z=0.01, sigma_x=0.01,
                           sigma_y=0.01, shots_per_basis=8192)
@@ -649,6 +661,8 @@ def test_statevector_validation():
         StateVector(1, np.array([1.0, 1.0]))
     with pytest.raises(SimulationError):
         StateVector(2, np.array([1.0, 0.0]))
+    with pytest.raises(SimulationError):  # a nan norm is not 1 either
+        StateVector(1, np.array([math.nan, 0.0]))
     with pytest.raises(SimulationError):
         Counts(5, {"00": 4})
     with pytest.raises(SimulationError):
