@@ -75,7 +75,11 @@ def _cmd_solve(args) -> int:
             _parse_floats(args.rhs, 2, "--rhs"))
 
     if args.key is not None:
-        key = hecrypt.MaskKey(tuple(int(b) for b in args.key.split(",")))
+        try:
+            bits = tuple(int(b) for b in args.key.split(","))
+        except ValueError:
+            raise ValueError("--key needs comma-separated integers") from None
+        key = hecrypt.MaskKey(bits)
     elif args.key_seed is not None:
         key = hecrypt.keygen(args.key_seed)
     else:
@@ -315,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in reversed(range(len(argv) - 1)):  # argparse reads -1,2 as a flag
-        if argv[i] in ("--matrix", "--rhs") and re.match("-[.0-9]", argv[i + 1]):
+        if (argv[i] in ("--matrix", "--rhs", "--key")
+                and re.match("-[.0-9]", argv[i + 1])):
             argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -17,6 +17,8 @@ per-basis counts with raw/kept totals, or error + detail.
 """
 from __future__ import annotations
 
+import atexit
+import contextlib
 import functools
 import json
 import logging
@@ -25,6 +27,7 @@ import socket
 import socketserver
 import struct
 import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,15 +261,13 @@ def send_frame(sock: socket.socket, payload: dict):
 
 
 def _recv_exactly(sock: socket.socket, count: int) -> bytes | None:
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
+    data = bytearray()
+    while len(data) < count:
+        chunk = sock.recv(count - len(data))
         if not chunk:
             return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        data += chunk
+    return bytes(data)
 
 
 def recv_frame(sock: socket.socket) -> bytes | None:
@@ -311,11 +312,9 @@ class _Handler(socketserver.BaseRequestHandler):
             except TransportError as exc:
                 # frame-level violation: answer, then drop the connection
                 # (the stream can no longer be resynchronized)
-                try:
+                with contextlib.suppress(OSError):
                     send_frame(self.request,
                                {"error": "bad_frame", "detail": str(exc)})
-                except OSError:
-                    pass
                 return
             except (socket.timeout, OSError):
                 return
@@ -331,7 +330,7 @@ class _Handler(socketserver.BaseRequestHandler):
 
 class ExecutionServer(socketserver.ThreadingTCPServer):
     """start() in a background thread, or serve_forever(); a connection idle
-    for timeout seconds is dropped."""
+    for timeout seconds is dropped, and shutdown() ends every open one."""
 
     allow_reuse_address = True
     daemon_threads = True
@@ -344,6 +343,7 @@ class ExecutionServer(socketserver.ThreadingTCPServer):
         # timeout: an idle server never polls, and stops at once
         self.wake, self._woken = socket.socketpair()
         self._thread: threading.Thread | None = None
+        self._open = weakref.WeakSet()  # accepted connections not yet closed
         super().__init__((host, port), _Handler)
 
     @property
@@ -368,10 +368,17 @@ class ExecutionServer(socketserver.ThreadingTCPServer):
         log.info("serving on %s:%d", *self.address)
         self.serve_until_stopped()
 
+    def process_request(self, request, client_address):
+        self._open.add(request)
+        super().process_request(request, client_address)
+
     def shutdown(self):
         self.wake.send(b"\0")
         if self._thread is not None:
             self._thread.join(timeout=5.0)
+        for request in self._open:  # each handler reads EOF and returns
+            with contextlib.suppress(OSError):  # the peer may be gone
+                request.shutdown(socket.SHUT_RDWR)
         self.server_close()
 
     def server_close(self):
@@ -397,6 +404,49 @@ def _parse_address(server: tuple[str, int] | str) -> tuple[str, int]:
     return host, int(port)
 
 
+_idle: list[tuple[tuple[str, int], socket.socket]] = []  # see _exchange
+_idle_lock = threading.Lock()
+
+
+@atexit.register
+def _close_idle():
+    for _, sock in _idle:
+        sock.close()
+
+
+def _exchange(address: tuple[str, int], payload: dict,
+              timeout: float) -> bytes | None:
+    """The reply to one request frame, on the idle connection to address if
+    any, else on a new one that then stays idle. If the server had dropped
+    the idle one (so that it fails before the reply: a send error, a reset,
+    EOF in the header), the job goes once more on a new connection."""
+    with _idle_lock:
+        kept, idle = _idle.pop() if _idle else (address, None)
+    if kept != address:
+        idle.close()  # the last job went to another server
+    for sock in (idle, None) if idle and kept == address else (None,):
+        reused, reply = sock is not None, None
+        sock = sock or socket.create_connection(address, timeout=timeout)
+        try:
+            sock.settimeout(timeout)
+            send_frame(sock, payload)
+            reply = recv_frame(sock)
+        except OSError as exc:
+            if not reused or isinstance(exc, (socket.timeout, TransportError)):
+                raise
+        finally:
+            if reply is None:
+                sock.close()
+        if reply is not None:
+            with _idle_lock:
+                if _idle:
+                    sock.close()
+                else:
+                    _idle.append((address, sock))
+            return reply
+    return None
+
+
 def submit(server: tuple[str, int] | str | None, job: Job,
            timeout: float = DEFAULT_TIMEOUT) -> dict:
     """Synchronous round trip; raises ServerError on an error payload.
@@ -409,16 +459,13 @@ def submit(server: tuple[str, int] | str | None, job: Job,
     else:
         address = _parse_address(server)
         try:
-            with socket.create_connection(address, timeout=timeout) as sock:
-                send_frame(sock, job.to_payload())
-                payload_bytes = recv_frame(sock)
+            payload_bytes = _exchange(address, job.to_payload(), timeout)
         except socket.timeout as exc:
             raise TransportError(f"timeout talking to {address}") from exc
         except OSError as exc:
             raise TransportError(f"cannot reach {address}: {exc}") from exc
         if payload_bytes is None:
-            raise TransportError(
-                "server closed the connection without replying")
+            raise TransportError("server closed the connection without replying")
     try:
         response = json.loads(payload_bytes.decode("utf-8"))
     except (UnicodeDecodeError, ValueError, RecursionError) as exc:

@@ -294,13 +294,6 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return _evolve(np.eye(2 ** n, dtype=complex), n, circuit.gates)
 
 
-def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Global-phase-invariant distance 1 - |Tr(U^dag V)| / dim."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    return float(1.0 - abs(np.trace(u.conj().T @ v)) / u.shape[0])
-
-
 def basis_seeds(seed: int, count: int) -> list[int]:
     """Per-basis child seeds derived deterministically from one job seed."""
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
@@ -397,21 +390,6 @@ def analytic_expectations(state: StateVector, qubit: int) -> PauliExpectations:
         x=float(2.0 * rho[0, 1].real),
         y=float(-2.0 * rho[0, 1].imag),
     )
-
-
-def reduced_pure_state(state: StateVector, qubit: int,
-                       tol: float = 1e-6) -> np.ndarray:
-    """The qubit's pure reduced state as a 2-vector (phase arbitrary).
-
-    Errors if the qubit is entangled with the rest beyond `tol` in purity.
-    """
-    rho = reduced_density(state, qubit)
-    purity = float(np.trace(rho @ rho).real)
-    if 1.0 - purity > tol:
-        raise SimulationError(
-            f"qubit {qubit} is not in a pure reduced state (purity {purity})")
-    eigvals, eigvecs = np.linalg.eigh(rho)
-    return eigvecs[:, int(np.argmax(eigvals))]
 
 
 def bloch_point(vec) -> tuple[float, float, float]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qhesolve import qserve
+from qhesolve import qserve, qsim
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +43,14 @@ def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
     while np.linalg.norm(v) < 1e-6:
         v = rng.normal(size=2)
     return v / np.linalg.norm(v)
+
+
+def reduced_pure_state(state: qsim.StateVector, qubit: int,
+                       tol: float = 1e-6) -> np.ndarray:
+    """The qubit's pure reduced state as a 2-vector (phase arbitrary); the
+    qubit may be entangled with the rest by at most `tol` in purity."""
+    rho = qsim.reduced_density(state, qubit)
+    purity = float(np.trace(rho @ rho).real)
+    assert 1.0 - purity <= tol, f"qubit {qubit} is not pure ({purity})"
+    eigvals, eigvecs = np.linalg.eigh(rho)
+    return eigvecs[:, int(np.argmax(eigvals))]

@@ -25,10 +25,11 @@ import time
 
 import numpy as np
 
-from conftest import random_symmetric_pd
+from conftest import random_symmetric_pd, reduced_pure_state
 from qhesolve import circ, fixtures, hecrypt, hhl, qserve, qsim, synth
 from qhesolve.cli import main
 from qhesolve.qsim import GATE_MATRICES
+from test_circ import phase_distance
 from test_synth import word_matrix
 
 SQ2 = 1 / math.sqrt(2)
@@ -282,8 +283,8 @@ def test_criterion_4_compiler_semantics():
         legalized = circ.legalize_star(circuit, center)
         assert all(g.target == center for g in legalized.gates
                    if g.kind == "cx")
-        worst = max(worst, qsim.phase_distance(qsim.circuit_unitary(circuit),
-                                               qsim.circuit_unitary(legalized)))
+        worst = max(worst, phase_distance(qsim.circuit_unitary(circuit),
+                                          qsim.circuit_unitary(legalized)))
 
     # the full fixture circuits (replica, exact, and Clifford+T-substituted
     # replica) legalized onto the star
@@ -305,8 +306,8 @@ def test_criterion_4_compiler_semantics():
         legalized = circ.legalize_star(circuit, hhl.EIGEN_QUBIT)
         assert all(g.target == hhl.EIGEN_QUBIT for g in legalized.gates
                    if g.kind == "cx")
-        worst = max(worst, qsim.phase_distance(qsim.circuit_unitary(circuit),
-                                               qsim.circuit_unitary(legalized)))
+        worst = max(worst, phase_distance(qsim.circuit_unitary(circuit),
+                                          qsim.circuit_unitary(legalized)))
         cases += 1
     elapsed = time.monotonic() - started
     ok = verdict("4", worst < 1e-9 and elapsed < 30.0,
@@ -332,13 +333,13 @@ def test_criterion_5_general_vs_optimized():
         general = hhl.build_general_circuit(system, config)
         state = qsim.run_statevector(general)
         post, prob_gen = qsim.postselect(state, 1 + 3, 1)
-        sol_gen = qsim.reduced_pure_state(post, hhl.STATE_QUBIT)
+        sol_gen = reduced_pure_state(post, hhl.STATE_QUBIT)
 
         eig = hhl.eigendecompose(a)
         optimized = hhl.build_optimized_circuit(eig, b_unit, config)
         post, prob_opt = qsim.postselect(qsim.run_statevector(optimized),
                                          hhl.ANCILLA_QUBIT, 1)
-        sol_opt = qsim.reduced_pure_state(post, hhl.STATE_QUBIT)
+        sol_opt = reduced_pure_state(post, hhl.STATE_QUBIT)
 
         worst_overlap_defect = max(worst_overlap_defect,
                                    1.0 - abs(np.vdot(sol_gen, sol_opt)))

@@ -257,7 +257,10 @@ def test_any_server_reply_gives_a_finite_report_or_one_error_line(
     (["--key", "2,0"], "key components must be 0 or 1"),
     (["--key", "1", "--theta-override", "1", "--theta-override-deg", "1"],
      "--theta-override given in both units"),
-], ids=["one_bit", "three_bits", "not_binary", "angle_in_both_units_first"])
+    (["--key", "-1,0"], "key components must be 0 or 1"),
+    (["--key", "1,,0"], "--key needs comma-separated integers"),
+], ids=["one_bit", "three_bits", "not_binary", "angle_in_both_units_first",
+        "negative", "empty_component"])
 def test_bad_key_is_refused_in_one_line(capsys, flags, message):
     status, out, err = run_cli(capsys, ["solve", "--fixture", "eq7", *flags])
     assert (status, out, err) == (1, "", f"error: {message}\n")

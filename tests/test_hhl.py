@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_symmetric_pd, random_unit_vector
+from conftest import (random_symmetric_pd, random_unit_vector,
+                      reduced_pure_state)
 from qhesolve import circ, qserve, qsim
 from qhesolve.hhl import (ANCILLA_QUBIT, STATE_QUBIT, EigenDecomp,
                           LinearSystem, SolverConfig, SolverError,
@@ -21,6 +22,7 @@ from qhesolve.hhl import (ANCILLA_QUBIT, STATE_QUBIT, EigenDecomp,
                           qft_gates, report_to_text, rotation_angle_exact,
                           rotation_angle_replica, rz_gates, submit_solve,
                           uniformly_controlled_ry)
+from test_circ import phase_distance
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -157,7 +159,7 @@ def test_qft_matches_dft_matrix():
         omega = np.exp(2j * math.pi / dim)
         want = np.array([[omega ** (j * k) for k in range(dim)]
                          for j in range(dim)]) / math.sqrt(dim)
-        assert qsim.phase_distance(u, want) < 1e-9
+        assert phase_distance(u, want) < 1e-9
 
 
 def test_controlled_evolution_matches_matrix_exponential():
@@ -175,7 +177,7 @@ def test_controlled_evolution_matches_matrix_exponential():
         want[np.ix_([1, 3], [1, 3])] = expm
         gates = _controlled_evolution(eigendecompose(a), 1, tau)
         got = qsim.circuit_unitary(circ.Circuit(2, gates))
-        assert qsim.phase_distance(got, want) < 1e-9
+        assert phase_distance(got, want) < 1e-9
 
 
 def test_uniformly_controlled_ry_acts_per_register_value():
@@ -200,7 +202,7 @@ def test_exact_mode_first_masked_fixture():
     state = qsim.run_statevector(circuit)
     post, prob = qsim.postselect(state, ANCILLA_QUBIT, 1)
     assert prob == pytest.approx(0.16, abs=1e-9)
-    sol = qsim.reduced_pure_state(post, STATE_QUBIT)
+    sol = reduced_pure_state(post, STATE_QUBIT)
     assert abs(np.vdot(sol, [SQ2, SQ2])) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -211,7 +213,7 @@ def test_exact_mode_identity_system():
     state = qsim.run_statevector(circuit)
     post, prob = qsim.postselect(state, ANCILLA_QUBIT, 1)
     assert prob == pytest.approx(1.0, abs=1e-12)
-    sol = qsim.reduced_pure_state(post, STATE_QUBIT)
+    sol = reduced_pure_state(post, STATE_QUBIT)
     assert abs(np.vdot(sol, [1, 0])) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -222,7 +224,7 @@ def test_replica_mode_second_masked_fixture():
     circuit = build_optimized_circuit(eig, B_MASKED_EQ8, config)
     state = qsim.run_statevector(circuit)
     post, _ = qsim.postselect(state, ANCILLA_QUBIT, 1)
-    sol = qsim.reduced_pure_state(post, STATE_QUBIT)
+    sol = reduced_pure_state(post, STATE_QUBIT)
     assert abs(np.vdot(sol, [SQ2, -SQ2])) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -266,7 +268,7 @@ def test_replica_angle_independence_on_eigenvector_inputs():
         circuit = build_optimized_circuit(eig, b, config)
         post, _ = qsim.postselect(qsim.run_statevector(circuit),
                                   ANCILLA_QUBIT, 1)
-        sol = qsim.reduced_pure_state(post, STATE_QUBIT)
+        sol = reduced_pure_state(post, STATE_QUBIT)
         assert abs(np.vdot(sol, b)) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -310,7 +312,7 @@ def general_post_state(system, config):
     m = config.eigen_register_bits
     state = qsim.run_statevector(circuit)
     post, prob = qsim.postselect(state, 1 + m, 1)
-    return qsim.reduced_pure_state(post, STATE_QUBIT), prob
+    return reduced_pure_state(post, STATE_QUBIT), prob
 
 
 def test_general_circuit_first_fixture():
@@ -356,7 +358,7 @@ def test_general_matches_optimized_when_representable():
         opt = build_optimized_circuit(eig, b, config)
         post, prob_opt = qsim.postselect(qsim.run_statevector(opt),
                                          ANCILLA_QUBIT, 1)
-        sol_opt = qsim.reduced_pure_state(post, STATE_QUBIT)
+        sol_opt = reduced_pure_state(post, STATE_QUBIT)
         assert prob_gen == pytest.approx(prob_opt, abs=1e-9)
         assert fidelity_between(sol_gen, sol_opt) == pytest.approx(1.0, abs=1e-6)
 

@@ -4,8 +4,11 @@ import functools
 import json
 import logging
 import math
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhesolve import circ, cli, fixtures, hhl, qserve, qsim
+from qhesolve import circ, cli, fixtures, hecrypt, hhl, qserve, qsim
 from qhesolve.qserve import (Job, ServerError,
                              TransportError, apply_depolarizing, execute_job,
                              submit)
@@ -595,6 +598,160 @@ def test_idle_connection_is_dropped_after_the_timeout():
         # dropping one connection leaves the server serving new ones
         reply = submit(srv.address, Job(id="after", circuit=BELL))
         assert reply["id"] == "after"
+
+
+def count_accepts(srv: qserve.ExecutionServer) -> list:
+    """The client address of each connection srv accepts; call before
+    start()."""
+    accepted = []
+    get_request = srv.get_request
+
+    def counting():
+        request, client_address = get_request()
+        accepted.append(client_address)
+        return request, client_address
+
+    srv.get_request = counting
+    return accepted
+
+
+def test_sequential_jobs_share_one_connection():
+    srv = qserve.ExecutionServer()
+    accepted = count_accepts(srv)
+    system, key = fixtures.FIXTURES["eq7"](), hecrypt.MaskKey((1, 0))
+    with srv:
+        for i in range(20):
+            job = Job(id=f"seq-{i}", circuit=BELL)
+            assert submit(srv.address, job)["id"] == job.id
+        for seed in range(5):
+            config = hhl.SolverConfig(execution="sampled", shots=256, seed=seed)
+            served = hecrypt.solve_encrypted(system, key, srv.address, config)
+            in_process = hecrypt.solve_encrypted(system, key, None, config)
+            assert (hhl.report_to_text(served)
+                    == hhl.report_to_text(in_process))
+    assert len(accepted) == 1
+
+
+def test_concurrent_clients_leave_one_idle_connection():
+    jobs = [Job(id=f"s{i}", circuit=BELL) for i in range(25)]
+    want = [execute_job(job.to_payload()) for job in jobs]
+    results = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads inside the slot's updates
+    try:
+        with qserve.ExecutionServer() as srv:
+            def worker(w):
+                results[w] = [submit(srv.address, job) for job in jobs]
+
+            threads = [threading.Thread(target=worker, args=(w,))
+                       for w in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert [address for address, _ in qserve._idle] == [srv.address]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == {w: want for w in range(4)}
+
+
+def test_a_connection_the_server_dropped_is_replaced(request_log):
+    srv = qserve.ExecutionServer(timeout=0.2)
+    accepted = count_accepts(srv)
+    with srv:
+        submit(srv.address, Job(id="before", circuit=BELL))
+        time.sleep(0.6)  # the server drops the idle connection
+        reply = submit(srv.address, Job(id="after", circuit=BELL))
+    assert reply == execute_job(Job(id="after", circuit=BELL).to_payload())
+    assert [json.loads(frame)["id"] for frame in request_log] == [
+        "before", "after"]
+    assert len(accepted) == 2
+
+
+def test_a_timeout_on_an_open_connection_is_not_sent_again(monkeypatch,
+                                                           request_log):
+    release = threading.Event()
+    run = qsim.run_statevector
+
+    def blocking(circuit):
+        release.wait(5.0)
+        return run(circuit)
+
+    srv = qserve.ExecutionServer()
+    accepted = count_accepts(srv)
+    with srv:
+        submit(srv.address, Job(id="first", circuit=BELL))
+        monkeypatch.setattr(qsim, "run_statevector", blocking)
+        try:
+            with pytest.raises(TransportError, match="timeout"):
+                submit(srv.address, Job(id="slow", circuit=BELL), timeout=0.2)
+        finally:
+            release.set()
+    assert [json.loads(frame)["id"] for frame in request_log] == [
+        "first", "slow"]
+    assert len(accepted) == 1
+
+
+def test_a_reply_cut_off_on_an_open_connection_is_not_sent_again():
+    job = Job(id="cut", circuit=BELL)
+    reply = json.dumps(execute_job(job.to_payload())).encode()
+    frame = qserve.FRAME_HEADER.pack(len(reply)) + reply
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(5.0)
+
+        def serve():
+            with listener.accept()[0] as conn:
+                for cut in (len(frame), len(frame) // 2):
+                    qserve.recv_frame(conn)
+                    conn.sendall(frame[:cut])
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        address = listener.getsockname()
+        assert submit(address, job, timeout=2.0) == json.loads(reply)
+        with pytest.raises(TransportError, match="mid-frame"):
+            submit(address, job, timeout=2.0)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        listener.setblocking(False)
+        with pytest.raises(BlockingIOError):  # no second connection
+            listener.accept()
+
+
+def test_a_shut_down_server_answers_no_more_jobs():
+    job = Job(id="late", circuit=BELL)
+    with qserve.ExecutionServer() as srv:
+        submit(srv.address, job)  # this connection stays open
+        raw = socket.create_connection(srv.address, timeout=5.0)
+        qserve.send_frame(raw, job.to_payload())
+        assert qserve.recv_frame(raw) is not None
+    with raw:
+        with pytest.raises(TransportError):
+            submit(srv.address, job, timeout=2.0)
+        try:
+            qserve.send_frame(raw, job.to_payload())
+            late = qserve.recv_frame(raw)
+        except OSError:  # a reset, or a refused send
+            late = None
+        assert late is None
+
+
+def test_serve_cli_stops_on_sigint_with_a_client_connection_open():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qhesolve", "serve", "--port", "0"],
+        stdout=subprocess.PIPE, text=True)
+    try:
+        banner = proc.stdout.readline().strip()
+        host, _, port = banner.rpartition(" ")[2].rpartition(":")
+        submit((host, int(port)), Job(id="open", circuit=BELL), timeout=10.0)
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=5.0) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
 
 def test_server_never_imports_key_material():

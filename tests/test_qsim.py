@@ -8,13 +8,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reduced_pure_state
 from qhesolve import circ, qsim
 from qhesolve.circ import Circuit, cx, h, ry, t, x
 from qhesolve.qsim import (Counts, PauliExpectations, SimulationError,
                            StateVector, ZeroProbabilityError,
                            analytic_expectations, apply_gate, circuit_unitary,
                            fidelity_from_expectations, pauli_expectations,
-                           postselect, postselect_counts, reduced_pure_state,
+                           postselect, postselect_counts,
                            run_statevector, sample_counts)
 
 SQ2 = 1 / math.sqrt(2)
