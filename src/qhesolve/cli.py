@@ -198,14 +198,17 @@ def _job_from_args(args, circuit_text: str) -> qserve.Job:
 
 
 def _cmd_serve(args) -> int:
+    import signal  # only serve needs it, and every cold solve imports cli
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(asctime)s %(name)s %(message)s")
     server = qserve.ExecutionServer(args.host, args.port, args.timeout)
-    host, port = server.address
-    sys.stdout.write(f"listening on {host}:{port}\n")
-    sys.stdout.flush()
+    # SIGTERM, and the SIGINT that a background shell ignores, stop it too
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.default_int_handler)
     try:
+        sys.stdout.write("listening on {}:{}\n".format(*server.address))
+        sys.stdout.flush()
         server.serve_forever()
     except KeyboardInterrupt:
         server.shutdown()

@@ -29,7 +29,6 @@ from .circ import Circuit, Gate
 
 log = logging.getLogger(__name__)
 
-MAX_UNITARY_QUBITS = 6
 # _fused's memo of run prefixes stops growing here (~400 bytes an entry); a
 # step that finds no entry is multiplied as if new
 MAX_MEMO_ENTRIES = 4096
@@ -282,16 +281,6 @@ def run_density(circuit: Circuit, noise_p: float) -> DensityMatrix:
             blocks[:, 0, :, :, 0] += traced
             blocks[:, 1, :, :, 1] += traced
     return DensityMatrix(n, rho)
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full 2^n x 2^n matrix of the circuit (n <= 6); column j is the image of
-    basis state j."""
-    n = circuit.n_qubits
-    if n > MAX_UNITARY_QUBITS:
-        raise SimulationError(
-            f"circuit_unitary supports at most {MAX_UNITARY_QUBITS} qubits")
-    return _evolve(np.eye(2 ** n, dtype=complex), n, circuit.gates)
 
 
 def basis_seeds(seed: int, count: int) -> list[int]:

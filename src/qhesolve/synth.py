@@ -8,9 +8,10 @@ exactly by its SO(3) image, whose entries are (a + b sqrt2) / sqrt2^k with
 small integers a, b; its T-count is the least such k (Kliuchnikov, Maslov &
 Mosca, arXiv:1206.5236; Gosset et al., arXiv:1308.4134). Layer k+1 is C.T.V
 over the layer-k classes V for which T.V does not reduce, keeping for each
-new class the least (length, word). A search is one vectorized pass over the
-table, so results are the true optima, not estimates. The third columns of
-the same keys give the set of Bloch points reachable from |0>.
+new class the least (length, word). A search scores the table with one
+matrix-vector product, then decides between the entries near the best by the
+trace itself, so results are the true optima, not estimates. The third
+columns of the same keys give the set of Bloch points reachable from |0>.
 """
 from __future__ import annotations
 
@@ -232,8 +233,9 @@ def tied_maximizers(target: np.ndarray, t_budget: int,
         raise SynthesisError("target must be unitary")
     table = enumerate_unitaries(t_budget)
     target_dag = target.conj().T
-    sims = np.abs(np.einsum("ij,nji->n", target_dag, table.matrices)) / 2.0
-    # einsum rounds differently: widen, then decide on the reported expression
+    # Tr(t^dag M) = sum M[j, i] conj(t[j, i]). The product rounds unlike the
+    # trace: widen, then decide on the reported expression
+    sims = np.abs(table.matrices.reshape(-1, 4) @ target.conj().reshape(4)) / 2
     near = np.flatnonzero(sims >= sims.max() - tol - 1e-12)
     exact = [abs(np.trace(target_dag @ table.matrices[i])) / 2.0 for i in near]
     top = max(exact)

@@ -3,6 +3,8 @@ import pytest
 
 from qhesolve import qserve, qsim
 
+MAX_UNITARY_QUBITS = 6
+
 
 @pytest.fixture(scope="session")
 def server():
@@ -54,3 +56,13 @@ def reduced_pure_state(state: qsim.StateVector, qubit: int,
     assert 1.0 - purity <= tol, f"qubit {qubit} is not pure ({purity})"
     eigvals, eigvecs = np.linalg.eigh(rho)
     return eigvecs[:, int(np.argmax(eigvals))]
+
+
+def circuit_unitary(circuit) -> np.ndarray:
+    """Full 2^n x 2^n matrix of the circuit (n <= 6); column j is the image of
+    basis state j."""
+    n = circuit.n_qubits
+    if n > MAX_UNITARY_QUBITS:
+        raise qsim.SimulationError(
+            f"circuit_unitary supports at most {MAX_UNITARY_QUBITS} qubits")
+    return qsim._evolve(np.eye(2 ** n, dtype=complex), n, circuit.gates)

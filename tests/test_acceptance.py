@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from conftest import random_symmetric_pd, reduced_pure_state
+from conftest import circuit_unitary, random_symmetric_pd, reduced_pure_state
 from qhesolve import circ, fixtures, hecrypt, hhl, qserve, qsim, synth
 from qhesolve.cli import main
 from qhesolve.qsim import GATE_MATRICES
@@ -283,8 +283,8 @@ def test_criterion_4_compiler_semantics():
         legalized = circ.legalize_star(circuit, center)
         assert all(g.target == center for g in legalized.gates
                    if g.kind == "cx")
-        worst = max(worst, phase_distance(qsim.circuit_unitary(circuit),
-                                          qsim.circuit_unitary(legalized)))
+        worst = max(worst, phase_distance(circuit_unitary(circuit),
+                                          circuit_unitary(legalized)))
 
     # the full fixture circuits (replica, exact, and Clifford+T-substituted
     # replica) legalized onto the star
@@ -306,8 +306,8 @@ def test_criterion_4_compiler_semantics():
         legalized = circ.legalize_star(circuit, hhl.EIGEN_QUBIT)
         assert all(g.target == hhl.EIGEN_QUBIT for g in legalized.gates
                    if g.kind == "cx")
-        worst = max(worst, phase_distance(qsim.circuit_unitary(circuit),
-                                          qsim.circuit_unitary(legalized)))
+        worst = max(worst, phase_distance(circuit_unitary(circuit),
+                                          circuit_unitary(legalized)))
         cases += 1
     elapsed = time.monotonic() - started
     ok = verdict("4", worst < 1e-9 and elapsed < 30.0,

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import circuit_unitary
 from qhesolve import circ, qsim
 from qhesolve.circ import (Circuit, CircuitError, CircuitSyntaxError,
                            basis_change, cx, decompose_cry, emit_text, h,
@@ -63,7 +64,7 @@ def test_circuit_rejects_out_of_range_gate():
 def test_invert_gates_is_inverse():
     gates = [h(0), s(0), t(1), ry(0.7, 1), cx(0, 1), x(0)]
     c = Circuit(2, gates + circ.invert_gates(gates))
-    assert np.allclose(qsim.circuit_unitary(c), np.eye(4), atol=1e-12)
+    assert np.allclose(circuit_unitary(c), np.eye(4), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -72,19 +73,19 @@ def test_invert_gates_is_inverse():
 
 def test_cry_zero_angle_is_identity():
     c = Circuit(2, decompose_cry(0.0, 0, 1))
-    assert np.allclose(qsim.circuit_unitary(c), np.eye(4), atol=1e-12)
+    assert np.allclose(circuit_unitary(c), np.eye(4), atol=1e-12)
 
 
 def test_cry_matches_block_matrix():
     theta = math.radians(-57.34)
     c = Circuit(2, decompose_cry(theta, 0, 1))
-    assert np.allclose(qsim.circuit_unitary(c), controlled(ry_mat(theta)),
+    assert np.allclose(circuit_unitary(c), controlled(ry_mat(theta)),
                        atol=1e-10)
 
 
 def test_cry_two_pi_gives_z_on_control():
     c = Circuit(2, decompose_cry(2 * math.pi, 0, 1))
-    assert np.allclose(qsim.circuit_unitary(c), np.diag([1, 1, -1, -1]),
+    assert np.allclose(circuit_unitary(c), np.diag([1, 1, -1, -1]),
                        atol=1e-10)
 
 
@@ -103,7 +104,7 @@ def test_cry_control_zero_branch_is_identity():
     rng = np.random.default_rng(11)
     for _ in range(25):
         theta = rng.uniform(-2 * math.pi, 2 * math.pi)
-        u = qsim.circuit_unitary(Circuit(2, decompose_cry(theta, 0, 1)))
+        u = circuit_unitary(Circuit(2, decompose_cry(theta, 0, 1)))
         assert np.allclose(u[:2, :2], np.eye(2), atol=1e-12)
         assert np.allclose(u[:2, 2:], 0, atol=1e-12)
 
@@ -111,7 +112,7 @@ def test_cry_control_zero_branch_is_identity():
 def test_cry_reversed_qubit_order():
     # control on q1: blocks interleave in the q0-major index ordering
     theta = 1.1
-    u = qsim.circuit_unitary(Circuit(2, decompose_cry(theta, 1, 0)))
+    u = circuit_unitary(Circuit(2, decompose_cry(theta, 1, 0)))
     want = np.eye(4, dtype=complex)
     rm = ry_mat(theta)
     want[np.ix_([1, 3], [1, 3])] = rm
@@ -123,9 +124,9 @@ def test_cry_reversed_qubit_order():
 # ---------------------------------------------------------------------------
 
 def test_reverse_cnot_is_textbook_identity():
-    u = qsim.circuit_unitary(Circuit(2, reverse_cnot(0, 1)))
+    u = circuit_unitary(Circuit(2, reverse_cnot(0, 1)))
     assert np.allclose(u, CNOT_01, atol=1e-12)
-    u = qsim.circuit_unitary(Circuit(2, reverse_cnot(1, 0)))
+    u = circuit_unitary(Circuit(2, reverse_cnot(1, 0)))
     assert np.allclose(u, CNOT_10, atol=1e-12)
 
 
@@ -133,7 +134,7 @@ def test_reverse_cnot_twice_restores_direction():
     gates = reverse_cnot(0, 1)
     # reverse the inner cnot again
     doubled = gates[:2] + reverse_cnot(*gates[2].qubits) + gates[3:]
-    u = qsim.circuit_unitary(Circuit(2, doubled))
+    u = circuit_unitary(Circuit(2, doubled))
     assert np.allclose(u, CNOT_01, atol=1e-12)
 
 
@@ -152,8 +153,7 @@ def test_legalize_reverses_center_controlled_cnot():
     out = legalize_star(c, 1)
     assert len(out.gates) == 5
     assert all(g.target == 1 for g in out.gates if g.kind == "cx")
-    assert np.allclose(qsim.circuit_unitary(out), qsim.circuit_unitary(c),
-                       atol=1e-12)
+    assert np.allclose(circuit_unitary(out), circuit_unitary(c), atol=1e-12)
 
 
 def test_legalize_rejects_leaf_to_leaf():
@@ -199,8 +199,7 @@ def test_legalize_preserves_semantics_on_random_circuits():
         c = random_star_circuit(rng, n, int(rng.integers(1, 31)), center)
         out = legalize_star(c, center)
         assert all(g.target == center for g in out.gates if g.kind == "cx")
-        dist = phase_distance(qsim.circuit_unitary(c),
-                              qsim.circuit_unitary(out))
+        dist = phase_distance(circuit_unitary(c), circuit_unitary(out))
         assert dist < 1e-9
 
 
@@ -224,8 +223,7 @@ def test_substitute_exact_sequence_preserves_unitary():
     c = Circuit(2, [ry(math.pi / 2, 0), cx(0, 1), ry(math.pi / 2, 1)])
     out = substitute_ry(c, {math.pi / 2: [h(0), x(0)]})
     assert not any(g.kind == "ry" for g in out.gates)
-    assert phase_distance(qsim.circuit_unitary(c),
-                          qsim.circuit_unitary(out)) < 1e-12
+    assert phase_distance(circuit_unitary(c), circuit_unitary(out)) < 1e-12
 
 
 def _substitution_case(theta, circuit):
@@ -238,7 +236,7 @@ def _substitution_case(theta, circuit):
         sims.append(found.similarity)
     out = substitute_ry(circuit, approx)
     assert not any(g.kind == "ry" for g in out.gates)
-    u, v = qsim.circuit_unitary(circuit), qsim.circuit_unitary(out)
+    u, v = circuit_unitary(circuit), circuit_unitary(out)
     dim = u.shape[0]
     whole = abs(np.trace(u.conj().T @ v)) / dim
     n_subs = sum(1 for g in circuit.gates if g.kind == "ry")

@@ -11,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (random_symmetric_pd, random_unit_vector,
-                      reduced_pure_state)
+from conftest import (circuit_unitary, random_symmetric_pd,
+                      random_unit_vector, reduced_pure_state)
 from qhesolve import circ, qserve, qsim
 from qhesolve.hhl import (ANCILLA_QUBIT, STATE_QUBIT, EigenDecomp,
                           LinearSystem, SolverConfig, SolverError,
@@ -147,14 +147,14 @@ def test_prepare_b_examples():
 
 def test_rz_gates_exact():
     for angle in (-2.2, 0.0, 0.4, 3.0):
-        u = qsim.circuit_unitary(circ.Circuit(1, rz_gates(angle, 0)))
+        u = circuit_unitary(circ.Circuit(1, rz_gates(angle, 0)))
         want = np.diag([np.exp(-1j * angle / 2), np.exp(1j * angle / 2)])
         assert np.allclose(u, want, atol=1e-12)
 
 
 def test_qft_matches_dft_matrix():
     for m in (1, 2, 3):
-        u = qsim.circuit_unitary(circ.Circuit(m, qft_gates(list(range(m)))))
+        u = circuit_unitary(circ.Circuit(m, qft_gates(list(range(m)))))
         dim = 2 ** m
         omega = np.exp(2j * math.pi / dim)
         want = np.array([[omega ** (j * k) for k in range(dim)]
@@ -176,7 +176,7 @@ def test_controlled_evolution_matches_matrix_exponential():
         # control qubit 1, target qubit 0: control is the LOW index bit here
         want[np.ix_([1, 3], [1, 3])] = expm
         gates = _controlled_evolution(eigendecompose(a), 1, tau)
-        got = qsim.circuit_unitary(circ.Circuit(2, gates))
+        got = circuit_unitary(circ.Circuit(2, gates))
         assert phase_distance(got, want) < 1e-9
 
 
@@ -184,7 +184,7 @@ def test_uniformly_controlled_ry_acts_per_register_value():
     rng = np.random.default_rng(6)
     angles = rng.uniform(-math.pi, math.pi, size=4)
     gates = uniformly_controlled_ry([0, 1], 2, angles)
-    u = qsim.circuit_unitary(circ.Circuit(3, gates))
+    u = circuit_unitary(circ.Circuit(3, gates))
     for value in range(4):
         block = u[np.ix_([2 * value, 2 * value + 1],
                          [2 * value, 2 * value + 1])]
@@ -474,6 +474,26 @@ def test_report_scales_exactly_with_the_units(execution):
         assert report.solution.tobytes() == np.ldexp(base.solution,
                                                      j - k).tobytes()
         assert _unscaled_records(report) == _unscaled_records(base)
+
+
+def test_a_sampled_scale_past_the_float_range_is_refused(monkeypatch):
+    # x = (0, 2^1022) is a float, and P = (lambda_min / lambda)^2 = 1/16; a
+    # reply that keeps every shot claims P = 1, so a scale 4 times too large
+    system = LinearSystem(np.diag([0.25, 1.0]), np.array([0.0, 2.0 ** 1022]))
+    config = SolverConfig(mode="exact", execution="sampled", seed=5)
+    assert submit_solve(system, config).scale == pytest.approx(2.0 ** 1022,
+                                                               rel=0.1)
+    submit = qserve.submit
+
+    def keep_every_shot(server, job, **kwargs):
+        response = submit(server, job, **kwargs)
+        for item in response["results"]:
+            item["raw_shots"] = item["kept_shots"]
+        return response
+
+    monkeypatch.setattr(qserve, "submit", keep_every_shot)
+    with pytest.raises(SolverError, match="^solution outside the float range$"):
+        submit_solve(system, config)
 
 
 def test_success_probability_law():

@@ -737,21 +737,41 @@ def test_a_shut_down_server_answers_no_more_jobs():
         assert late is None
 
 
-def test_serve_cli_stops_on_sigint_with_a_client_connection_open():
+def stop_serve_cli(signum, preexec_fn=None) -> int:
+    """The exit status of a `qhesolve serve` process sent `signum` while a
+    client connection is open, which must then read EOF. Status 0 comes only
+    from the path through ExecutionServer.shutdown."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "qhesolve", "serve", "--port", "0"],
-        stdout=subprocess.PIPE, text=True)
+        stdout=subprocess.PIPE, text=True, preexec_fn=preexec_fn)
     try:
         banner = proc.stdout.readline().strip()
         host, _, port = banner.rpartition(" ")[2].rpartition(":")
-        submit((host, int(port)), Job(id="open", circuit=BELL), timeout=10.0)
-        proc.send_signal(signal.SIGINT)
-        assert proc.wait(timeout=5.0) == 0
+        with socket.create_connection((host, int(port)), timeout=5.0) as raw:
+            qserve.send_frame(raw, Job(id="open", circuit=BELL).to_payload())
+            assert qserve.recv_frame(raw) is not None
+            proc.send_signal(signum)
+            assert qserve.recv_frame(raw) is None
+        return proc.wait(timeout=5.0)
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
         proc.stdout.close()
+
+
+def test_serve_cli_stops_on_sigint_with_a_client_connection_open():
+    assert stop_serve_cli(signal.SIGINT) == 0
+
+
+def test_serve_cli_stops_on_sigterm():
+    assert stop_serve_cli(signal.SIGTERM) == 0
+
+
+def test_serve_cli_stops_on_a_sigint_its_shell_ignored():
+    # a non-interactive shell starts background jobs with SIGINT ignored
+    assert stop_serve_cli(signal.SIGINT, preexec_fn=lambda: signal.signal(
+        signal.SIGINT, signal.SIG_IGN)) == 0
 
 
 def test_server_never_imports_key_material():

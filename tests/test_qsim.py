@@ -8,12 +8,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reduced_pure_state
+from conftest import MAX_UNITARY_QUBITS, circuit_unitary, reduced_pure_state
 from qhesolve import circ, qsim
 from qhesolve.circ import Circuit, cx, h, ry, t, x
 from qhesolve.qsim import (Counts, PauliExpectations, SimulationError,
                            StateVector, ZeroProbabilityError,
-                           analytic_expectations, apply_gate, circuit_unitary,
+                           analytic_expectations, apply_gate,
                            fidelity_from_expectations, pauli_expectations,
                            postselect, postselect_counts,
                            run_statevector, sample_counts)
@@ -348,7 +348,7 @@ def test_unitary_is_unitary_for_random_circuits():
 
 def test_unitary_columns_match_basis_state_runs():
     rng = np.random.default_rng(77)
-    for n in range(1, qsim.MAX_UNITARY_QUBITS + 1):
+    for n in range(1, MAX_UNITARY_QUBITS + 1):
         gates = [random_single(rng, int(rng.integers(n))) for _ in range(30)]
         if n > 1:
             gates[::4] = [cx(*(int(q) for q in rng.choice(n, 2, replace=False)))

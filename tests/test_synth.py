@@ -4,7 +4,9 @@ The enumeration is validated two independent ways: budget-0 states against a
 raw Clifford closure computed right here with plain matrices, and random
 bounded-T words that must always hit an enumerated canonical form.
 """
+import functools
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -325,6 +327,63 @@ def test_deterministic_tie_break():
     assert a.sequence == b.sequence
     tied = tied_maximizers(ry_matrix(0.77), 6)
     assert tied[0].sequence == a.sequence
+
+
+def random_unitary(rng):
+    """A Haar-random 2x2 unitary (QR of a complex Gaussian, phases fixed)."""
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diagonal(r) / abs(np.diagonal(r)))
+
+
+REFERENCE_RNG = np.random.default_rng(2026)
+REFERENCE_TARGETS = (
+    [random_unitary(REFERENCE_RNG) for _ in range(10)]
+    + [ry_matrix(a) for a in REFERENCE_RNG.uniform(-math.pi, math.pi, 10)]
+    + [GATE_MATRICES["h"], GATE_MATRICES["t"], np.eye(2, dtype=complex)])
+
+
+@functools.lru_cache(maxsize=None)
+def reference_similarities(k):
+    """The similarity of REFERENCE_TARGETS[k] to every budget-7 entry, by the
+    trace of each entry in turn; a lower budget's table is a prefix."""
+    target_dag = REFERENCE_TARGETS[k].conj().T
+    return [abs(np.trace(target_dag @ m)) / 2.0
+            for m in enumerate_unitaries(7).matrices]
+
+
+def reference_maximizers(k, t_budget, tol):
+    """(index, similarity) of every entry within tol of the best, with no
+    filter in front."""
+    sims = reference_similarities(k)[:len(enumerate_unitaries(t_budget))]
+    top = max(sims)
+    return [(i, s) for i, s in enumerate(sims) if s >= top - tol]
+
+
+@pytest.mark.parametrize("budget", [0, 2, 5, 7])
+def test_searches_match_the_whole_table_reference(budget):
+    table = enumerate_unitaries(budget)
+    for (k, target), tol in itertools.product(enumerate(REFERENCE_TARGETS),
+                                              [0.0, 1e-9]):
+        # tol 0 keeps ties that only the rounding of the trace separates
+        want = reference_maximizers(k, budget, tol)
+        got = tied_maximizers(target, budget, tol)
+        assert [r.sequence.gates for r in got] == [table[i].word for i, _ in want]
+        assert [r.similarity for r in got] == [s for _, s in want]
+        for r, (i, _) in zip(got, want):
+            assert np.array_equal(r.unitary, table.matrices[i])
+    for k, target in enumerate(REFERENCE_TARGETS):
+        best = reference_maximizers(k, budget, 1e-12)
+        result = approximate_unitary(target, budget)
+        assert result.sequence.gates == table[best[0][0]].word
+        assert result.similarity == max(s for _, s in best)
+        assert np.array_equal(result.unitary, table.matrices[best[0][0]])
+
+
+def test_exact_ties_keep_every_maximizer():
+    # Tr(T) and Tr(s^dag T) have equal moduli: I and s tie for t at budget 0
+    tied = tied_maximizers(GATE_MATRICES["t"], 0)
+    assert [r.sequence.gates for r in tied[:2]] == [(), ("s",)]
+    assert tied[0].similarity == pytest.approx(math.cos(math.pi / 8), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
