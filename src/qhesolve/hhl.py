@@ -562,6 +562,9 @@ def submit_solve(system: LinearSystem, config: SolverConfig,
     try:  # the server is untrusted, so its reply may have any shape
         if sampled:
             results = response["results"]
+            if any(r["raw_shots"] != config.shots
+                   or r["kept_shots"] > r["raw_shots"] for r in results):
+                raise ValueError("shot totals the job did not ask for")
             tables = {r["basis"]: qsim.Counts(r["kept_shots"], r["counts"])
                       for r in results}
             expectations = qsim.pauli_expectations(tables["Z"], tables["X"],

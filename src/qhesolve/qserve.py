@@ -8,6 +8,10 @@ else; it depends only on the simulator and the IR, so no key material is
 even importable here. submit() without an address runs a job in-process
 through the same request handling, encoded and decoded as on the wire.
 
+ExecutionServer accepts in one selector loop and serves each connection on
+its own daemon thread; at most MAX_CONCURRENT_JOBS jobs run at once, and a
+connection idle for its timeout is dropped.
+
 Request fields: id, circuit (text format), mode ("analytic"|"sampled"),
 shots/seed (sampled), postselect {qubit, outcome}, bases [{basis, qubit}],
 noise_p (optional, sampled only: an exact depolarizing channel after every
@@ -24,7 +28,6 @@ import json
 import logging
 import selectors
 import socket
-import socketserver
 import struct
 import threading
 import weakref
@@ -303,59 +306,59 @@ def handle_request(payload_bytes: bytes) -> dict:
 # Server
 # ---------------------------------------------------------------------------
 
-class _Handler(socketserver.BaseRequestHandler):
-    def handle(self):
-        self.request.settimeout(self.server.timeout)
-        while True:
-            try:
-                payload_bytes = recv_frame(self.request)
-            except TransportError as exc:
-                # frame-level violation: answer, then drop the connection
-                # (the stream can no longer be resynchronized)
-                with contextlib.suppress(OSError):
-                    send_frame(self.request,
-                               {"error": "bad_frame", "detail": str(exc)})
-                return
-            except (socket.timeout, OSError):
-                return
-            if payload_bytes is None:
-                return
-            with self.server.job_slots:
-                response = handle_request(payload_bytes)
-            try:
-                send_frame(self.request, response)
-            except OSError:
-                return
-
-
-class ExecutionServer(socketserver.ThreadingTCPServer):
+class ExecutionServer:
     """start() in a background thread, or serve_forever(); a connection idle
     for timeout seconds is dropped, and shutdown() ends every open one."""
-
-    allow_reuse_address = True
-    daemon_threads = True
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  timeout: float = DEFAULT_TIMEOUT):
         self.timeout = timeout
         self.job_slots = threading.BoundedSemaphore(MAX_CONCURRENT_JOBS)
+        self.listener = socket.create_server((host, port))
+        self.address: tuple[str, int] = self.listener.getsockname()[:2]
         # a byte on wake ends serve_until_stopped's select, which has no
         # timeout: an idle server never polls, and stops at once
         self.wake, self._woken = socket.socketpair()
         self._thread: threading.Thread | None = None
         self._open = weakref.WeakSet()  # accepted connections not yet closed
-        super().__init__((host, port), _Handler)
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.server_address[:2]
 
     def serve_until_stopped(self):
+        """Accept until woken; each connection gets its own daemon thread."""
         with selectors.DefaultSelector() as selector:
-            selector.register(self, selectors.EVENT_READ)
+            selector.register(self.listener, selectors.EVENT_READ)
             selector.register(self._woken, selectors.EVENT_READ)
-            while all(key.fileobj is self for key, _ in selector.select()):
-                self._handle_request_noblock()
+            while all(key.fileobj is self.listener
+                      for key, _ in selector.select()):
+                with contextlib.suppress(OSError):  # a failed accept drops one
+                    conn, _ = self.listener.accept()
+                    self._open.add(conn)
+                    threading.Thread(target=self._serve, args=(conn,),
+                                     daemon=True).start()
+
+    def _serve(self, conn: socket.socket):
+        """Answer conn's frames in turn until EOF, an error or the timeout."""
+        with conn:
+            conn.settimeout(self.timeout)
+            while True:
+                try:
+                    payload_bytes = recv_frame(conn)
+                except TransportError as exc:
+                    # frame-level violation: answer, then drop the connection
+                    # (the stream can no longer be resynchronized)
+                    with contextlib.suppress(OSError):
+                        send_frame(conn,
+                                   {"error": "bad_frame", "detail": str(exc)})
+                    return
+                except (socket.timeout, OSError):
+                    return
+                if payload_bytes is None:
+                    return
+                with self.job_slots:
+                    response = handle_request(payload_bytes)
+                try:
+                    send_frame(conn, response)
+                except OSError:
+                    return
 
     def start(self) -> tuple[str, int]:
         self._thread = threading.Thread(
@@ -368,25 +371,16 @@ class ExecutionServer(socketserver.ThreadingTCPServer):
         log.info("serving on %s:%d", *self.address)
         self.serve_until_stopped()
 
-    def process_request(self, request, client_address):
-        self._open.add(request)
-        super().process_request(request, client_address)
-
     def shutdown(self):
         self.wake.send(b"\0")
         if self._thread is not None:
             self._thread.join(timeout=5.0)
-        for request in self._open:  # each handler reads EOF and returns
+        for conn in self._open:  # each _serve reads EOF and returns
             with contextlib.suppress(OSError):  # the peer may be gone
-                request.shutdown(socket.SHUT_RDWR)
-        self.server_close()
+                conn.shutdown(socket.SHUT_RDWR)
+        for sock in (self.listener, self.wake, self._woken):
+            sock.close()
 
-    def server_close(self):
-        super().server_close()
-        self.wake.close()
-        self._woken.close()
-
-    # BaseServer.__exit__ only closes the socket
     def __enter__(self) -> "ExecutionServer":
         self.start()
         return self

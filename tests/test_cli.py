@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qhesolve
-from qhesolve import fixtures, hecrypt, hhl, qserve, qsim
+from qhesolve import circ, fixtures, hecrypt, hhl, qserve, qsim, synth
 from qhesolve.cli import build_parser, main
 from test_qserve import JSON_VALUES, ODD
 
@@ -170,6 +170,9 @@ MALFORMED_REPLIES = {
         "success_probability": 0.5}).encode()),
     "nan_raw_shots": ("sampled", sampled_reply([("Z", math.nan), ("X", 8),
                                                 ("Y", 8)])),
+    # every shot kept of 8e12 raw ones: a success probability of 1e-12
+    "inflated_raw_shots": ("sampled", sampled_reply(
+        [(b, 8 * 10**12) for b in "ZXY"])),
     "multiline_error": ("analytic", json.dumps({
         "error": "bad_request", "detail": "no\nerror: forged"}).encode()),
 }
@@ -259,8 +262,11 @@ def test_any_server_reply_gives_a_finite_report_or_one_error_line(
      "--theta-override given in both units"),
     (["--key", "-1,0"], "key components must be 0 or 1"),
     (["--key", "1,,0"], "--key needs comma-separated integers"),
+    # the budget-7 Clifford+T word for ry(+-0.0005) is the identity
+    (["--key", "1,0", "--mode", "replica", "--theta-override", "0.001"],
+     "replica rotation leaves no ancilla amplitude"),
 ], ids=["one_bit", "three_bits", "not_binary", "angle_in_both_units_first",
-        "negative", "empty_component"])
+        "negative", "empty_component", "replica_rotation_is_the_identity"])
 def test_bad_key_is_refused_in_one_line(capsys, flags, message):
     status, out, err = run_cli(capsys, ["solve", "--fixture", "eq7", *flags])
     assert (status, out, err) == (1, "", f"error: {message}\n")
@@ -486,7 +492,6 @@ def test_synth_reports_similarity_and_writes_sequence(capsys, tmp_path):
     lines = dict(line.split("=", 1) for line in out.strip().split("\n"))
     assert float(lines["similarity"]) == pytest.approx(0.9967864880, abs=1e-9)
     assert int(lines["t_count"]) == 7
-    from qhesolve import circ
     written = circ.parse_text(out_file.read_text())
     assert written.n_qubits == 1
     assert tuple(g.kind for g in written.gates) == tuple(lines["gates"].split())
@@ -527,9 +532,24 @@ def test_compile_legalizes_file(capsys, tmp_path):
         "compile", "--circuit", str(src), "--legalize-center", "1",
         "--out", str(out_file)])
     assert status == 0
-    from qhesolve import circ
     compiled = circ.parse_text(out_file.read_text())
     assert all(g.target == 1 for g in compiled.gates if g.kind == "cx")
+
+
+def test_compile_readme_argv_substitutes_then_legalizes(capsys, tmp_path):
+    source = "qubits 3\nry(0.7) q0\ncx q0 q1\nry(-0.3) q2\ncx q1 q2\n"
+    src, out_file = tmp_path / "in.qc", tmp_path / "out.qc"
+    src.write_text(source)
+    status, _, _ = run_cli(capsys, [
+        "compile", "--circuit", str(src), "--legalize-center", "1",
+        "--substitute-t-budget", "7", "--out", str(out_file)])
+    assert status == 0
+    compiled = circ.parse_text(out_file.read_text())
+    assert not any(g.kind == "ry" for g in compiled.gates)
+    assert all(g.target == 1 for g in compiled.gates if g.kind == "cx")
+    substituted, _ = synth.substitute_clifford_t(circ.parse_text(source), 7)
+    assert out_file.read_text() == circ.emit_text(
+        circ.legalize_star(substituted, 1))
 
 
 def test_simulate_deterministic(capsys, tmp_path):

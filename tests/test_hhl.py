@@ -486,9 +486,13 @@ def test_a_sampled_scale_past_the_float_range_is_refused(monkeypatch):
     submit = qserve.submit
 
     def keep_every_shot(server, job, **kwargs):
+        # raw_shots stays honest; each table is scaled up to it
         response = submit(server, job, **kwargs)
         for item in response["results"]:
-            item["raw_shots"] = item["kept_shots"]
+            raw, kept = item["raw_shots"], item["kept_shots"]
+            counts = {k: c * raw // kept for k, c in item["counts"].items()}
+            counts[min(counts)] += raw - sum(counts.values())  # rounding
+            item["counts"], item["kept_shots"] = counts, raw
         return response
 
     monkeypatch.setattr(qserve, "submit", keep_every_shot)

@@ -604,14 +604,13 @@ def count_accepts(srv: qserve.ExecutionServer) -> list:
     """The client address of each connection srv accepts; call before
     start()."""
     accepted = []
-    get_request = srv.get_request
+    serve = srv._serve
 
-    def counting():
-        request, client_address = get_request()
-        accepted.append(client_address)
-        return request, client_address
+    def counting(conn):
+        accepted.append(conn.getpeername())
+        serve(conn)
 
-    srv.get_request = counting
+    srv._serve = counting
     return accepted
 
 
@@ -717,6 +716,23 @@ def test_a_reply_cut_off_on_an_open_connection_is_not_sent_again():
         listener.setblocking(False)
         with pytest.raises(BlockingIOError):  # no second connection
             listener.accept()
+
+
+def test_a_connection_closed_without_a_reply_is_an_error():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(5.0)
+
+        def serve():
+            with listener.accept()[0] as conn:
+                qserve.recv_frame(conn)  # then close, answering nothing
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        with pytest.raises(TransportError, match="without replying"):
+            submit(listener.getsockname(), Job(id="dropped", circuit=BELL),
+                   timeout=2.0)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
 
 
 def test_a_shut_down_server_answers_no_more_jobs():
