@@ -77,10 +77,6 @@ def x(q: int) -> Gate:
     return Gate("x", (q,))
 
 
-def y(q: int) -> Gate:
-    return Gate("y", (q,))
-
-
 def z(q: int) -> Gate:
     return Gate("z", (q,))
 
@@ -99,10 +95,6 @@ def sdg(q: int) -> Gate:
 
 def t(q: int) -> Gate:
     return Gate("t", (q,))
-
-
-def tdg(q: int) -> Gate:
-    return Gate("tdg", (q,))
 
 
 def ry(angle: float, q: int) -> Gate:

@@ -30,8 +30,7 @@ def eq8() -> LinearSystem:
 
 FIXTURES = {"eq7": eq7, "eq8": eq8}
 
-# The demonstration's fixed private key and replica rotation angle.
-FIXTURE_KEY = (1, 0)
+# The demonstration's replica rotation angle.
 REPLICA_THETA = math.radians(-57.34)
 
 # Device-run reference constants: (value, one-sigma uncertainty).

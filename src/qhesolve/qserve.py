@@ -141,8 +141,6 @@ def parse_job(payload: dict) -> tuple[Job, circ.Circuit]:
         circuit = circ.parse_text(text)
     except circ.CircuitSyntaxError as exc:
         raise ServerError("parse_error", str(exc)) from None
-    except circ.CircuitError as exc:
-        raise ServerError("bad_circuit", str(exc)) from None
 
     mode = payload.get("mode", "analytic")
     postselect = payload.get("postselect")
@@ -456,6 +454,8 @@ def submit(server: tuple[str, int] | str | None, job: Job,
             payload_bytes = _exchange(address, job.to_payload(), timeout)
         except socket.timeout as exc:
             raise TransportError(f"timeout talking to {address}") from exc
+        except TransportError:  # a framing fault is no failure to reach it
+            raise
         except OSError as exc:
             raise TransportError(f"cannot reach {address}: {exc}") from exc
         if payload_bytes is None:

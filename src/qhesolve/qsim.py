@@ -249,16 +249,10 @@ def apply_gate(state: StateVector | DensityMatrix, gate: Gate):
     return StateVector(state.n_qubits, _evolve(state.amps, state.n_qubits, [gate]))
 
 
-def run_statevector(circuit: Circuit,
-                    initial: StateVector | None = None) -> StateVector:
-    """Apply the circuit's gates in order to `initial` (default |0...0>)."""
-    if initial is None:
-        initial = StateVector.zero(circuit.n_qubits)
-    if initial.n_qubits != circuit.n_qubits:
-        raise SimulationError(
-            f"circuit has {circuit.n_qubits} qubits, state has {initial.n_qubits}")
-    return StateVector(circuit.n_qubits,
-                       _evolve(initial.amps, circuit.n_qubits, circuit.gates))
+def run_statevector(circuit: Circuit) -> StateVector:
+    """Apply the circuit's gates in order to |0...0>."""
+    n = circuit.n_qubits
+    return StateVector(n, _evolve(StateVector.zero(n).amps, n, circuit.gates))
 
 
 def run_density(circuit: Circuit, noise_p: float) -> DensityMatrix:

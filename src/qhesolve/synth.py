@@ -72,24 +72,12 @@ class SynthResult:
     similarity: float
 
 
-def similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """Global-phase-invariant closeness |Tr(u^dag v)| / 2 of two unitaries."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != (2, 2) or v.shape != (2, 2):
-        raise SynthesisError("similarity is defined for 2x2 unitaries")
-    if not is_unitary(u) or not is_unitary(v):
-        raise SynthesisError("similarity arguments must be unitary")
-    return abs(np.trace(u.conj().T @ v)) / 2.0
-
-
 def _clifford_image(u: np.ndarray) -> np.ndarray:
     """The SO(3) image of a Clifford: a signed permutation, held exactly."""
     image = np.einsum("iab,bc,jcd,da->ij", _PAULIS, u, _PAULIS, u.conj().T)
     return np.rint(image.real / 2.0).astype(np.int8)
 
 
-@functools.lru_cache(maxsize=1)
 def clifford_words() -> tuple[tuple[str, ...], ...]:
     """The 24 single-qubit Cliffords as shortest (then lexicographic) words."""
     found: dict[bytes, tuple[str, ...]] = {}
@@ -226,8 +214,8 @@ def substitute_clifford_t(circuit: circ.Circuit, t_budget: int
 
 def tied_maximizers(target: np.ndarray, t_budget: int,
                     tol: float = 1e-9) -> list[SynthResult]:
-    """Every canonical form whose similarity ties the budget's maximum, in
-    (T-count, length, word) order."""
+    """Every canonical form M whose similarity |Tr(target^dag M)| / 2 ties
+    the budget's maximum, in (T-count, length, word) order."""
     target = np.asarray(target, dtype=complex)
     if not is_unitary(target):
         raise SynthesisError("target must be unitary")

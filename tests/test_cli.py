@@ -138,11 +138,14 @@ def reply_once(reply: bytes):
     return f"{host}:{port}", thread
 
 
-def sampled_reply(bases):
-    # kept shots split evenly in every basis: a Bloch vector of 0, consistent
+# kept shots split evenly in every basis: a Bloch vector of 0, consistent
+EVEN_COUNTS = {"000": 4, "100": 4}
+
+
+def sampled_reply(bases, counts=EVEN_COUNTS):
     return json.dumps({"id": "solve-exact-sampled", "results": [
-        {"basis": b, "qubit": 0, "counts": {"000": 4, "100": 4},
-         "raw_shots": raw, "kept_shots": 8} for b, raw in bases]}).encode()
+        {"basis": b, "qubit": 0, "counts": counts, "raw_shots": raw,
+         "kept_shots": sum(counts.values())} for b, raw in bases]}).encode()
 
 
 # (execution, reply bytes)
@@ -173,6 +176,9 @@ MALFORMED_REPLIES = {
     # every shot kept of 8e12 raw ones: a success probability of 1e-12
     "inflated_raw_shots": ("sampled", sampled_reply(
         [(b, 8 * 10**12) for b in "ZXY"])),
+    "negative_count": ("sampled", sampled_reply(
+        [(b, 8) for b in "ZXY"], {"000": 12, "100": -4})),
+    "no_kept_shots": ("sampled", sampled_reply([(b, 8) for b in "ZXY"], {})),
     "multiline_error": ("analytic", json.dumps({
         "error": "bad_request", "detail": "no\nerror: forged"}).encode()),
 }

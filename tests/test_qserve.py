@@ -1,5 +1,6 @@
 """Execution-service tests: framing, job semantics, isolation, and the
 honest-but-curious boundary."""
+import contextlib
 import functools
 import json
 import logging
@@ -655,6 +656,67 @@ def test_concurrent_clients_leave_one_idle_connection():
     assert results == {w: want for w in range(4)}
 
 
+class MeetingList(list):
+    """A qserve._idle whose truth test, once armed, reads the length and then
+    waits for a second caller, so two unlocked put-backs both read it empty;
+    a caller held outside a lock breaks the wait after 0.5 s."""
+
+    armed = False
+
+    def __init__(self):
+        super().__init__()
+        self.barrier = threading.Barrier(2)
+
+    def __bool__(self):
+        full = len(self) > 0
+        if self.armed:
+            with contextlib.suppress(threading.BrokenBarrierError):
+                self.barrier.wait(timeout=0.5)
+        return full
+
+
+def test_concurrent_put_backs_leave_one_idle_connection(monkeypatch):
+    idle = MeetingList()
+    replied = threading.Barrier(2, timeout=5.0)
+    clients: list[threading.Thread] = []
+    recv = qserve.recv_frame
+
+    def recv_then_meet(sock):
+        frame = recv(sock)
+        if threading.current_thread() in clients:  # not the server's threads
+            replied.wait()  # both hold a reply before either puts one back
+            idle.armed = True
+        return frame
+
+    monkeypatch.setattr(qserve, "_idle", idle)
+    monkeypatch.setattr(qserve, "recv_frame", recv_then_meet)
+    replies = []
+    try:
+        with qserve.ExecutionServer() as srv:
+            job = Job(id="put-back", circuit=BELL)
+            clients += [threading.Thread(
+                target=lambda: replies.append(submit(srv.address, job)))
+                for _ in range(2)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=10.0)
+            assert not any(thread.is_alive() for thread in clients)
+        assert replies == [execute_job(job.to_payload())] * 2
+        assert len(idle) == 1
+    finally:
+        for _, sock in idle:
+            sock.close()
+
+
+def test_a_job_too_large_to_frame_is_refused_before_sending(server):
+    huge = Job(id="huge", circuit="qubits 1\n#" + "x" * (21 << 20))
+    with pytest.raises(TransportError) as refused:
+        submit(server.address, huge)
+    assert str(refused.value).startswith("frame of")
+    assert submit(server.address, Job(id="next", circuit=BELL))["id"] == "next"
+
+
 def test_a_connection_the_server_dropped_is_replaced(request_log):
     srv = qserve.ExecutionServer(timeout=0.2)
     accepted = count_accepts(srv)
@@ -709,8 +771,9 @@ def test_a_reply_cut_off_on_an_open_connection_is_not_sent_again():
         thread.start()
         address = listener.getsockname()
         assert submit(address, job, timeout=2.0) == json.loads(reply)
-        with pytest.raises(TransportError, match="mid-frame"):
+        with pytest.raises(TransportError, match="mid-frame") as cut:
             submit(address, job, timeout=2.0)
+        assert "cannot reach" not in str(cut.value)
         thread.join(timeout=5.0)
         assert not thread.is_alive()
         listener.setblocking(False)

@@ -19,7 +19,7 @@ from qhesolve import synth
 from qhesolve.qsim import GATE_MATRICES, bloch_point, ry_matrix
 from qhesolve.synth import (SynthesisError, approximate_unitary,
                             clifford_words, enumerate_states,
-                            enumerate_unitaries, export_bloch_csv, similarity,
+                            enumerate_unitaries, export_bloch_csv,
                             tied_maximizers)
 
 SQ2 = 1 / math.sqrt(2)
@@ -48,38 +48,6 @@ def word_matrix(word):
     for g in word:
         u = GATE_MATRICES[g] @ u
     return u
-
-
-# ---------------------------------------------------------------------------
-# similarity
-# ---------------------------------------------------------------------------
-
-def test_similarity_identity_pairs():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        word = tuple(rng.choice(list(GATE_MATRICES), size=6))
-        u = word_matrix(word)
-        assert similarity(u, u) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_similarity_orthogonal_pair():
-    assert similarity(np.eye(2), GATE_MATRICES["x"]) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_similarity_symmetry_and_phase_invariance():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        u = word_matrix(tuple(rng.choice(list(GATE_MATRICES), size=5)))
-        v = word_matrix(tuple(rng.choice(list(GATE_MATRICES), size=5)))
-        assert similarity(u, v) == pytest.approx(similarity(v, u), abs=1e-12)
-        phase = np.exp(1j * rng.uniform(0, 2 * math.pi))
-        assert similarity(u, phase * v) == pytest.approx(similarity(u, v),
-                                                         abs=1e-12)
-
-
-def test_similarity_rejects_non_unitary():
-    with pytest.raises(SynthesisError):
-        similarity(np.eye(2) * 2.0, np.eye(2))
 
 
 # ---------------------------------------------------------------------------
