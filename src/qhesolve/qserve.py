@@ -256,9 +256,13 @@ def _encode(payload: dict) -> bytes:
     return data
 
 
-def send_frame(sock: socket.socket, payload: dict):
+def _frame(payload: dict) -> bytes:
     data = _encode(payload)
-    sock.sendall(FRAME_HEADER.pack(len(data)) + data)
+    return FRAME_HEADER.pack(len(data)) + data
+
+
+def send_frame(sock: socket.socket, payload: dict):
+    sock.sendall(_frame(payload))
 
 
 def _recv_exactly(sock: socket.socket, count: int) -> bytes | None:
@@ -411,7 +415,9 @@ def _exchange(address: tuple[str, int], payload: dict,
     """The reply to one request frame, on the idle connection to address if
     any, else on a new one that then stays idle. If the server had dropped
     the idle one (so that it fails before the reply: a send error, a reset,
-    EOF in the header), the job goes once more on a new connection."""
+    EOF in the header), the job goes once more on a new connection. A
+    payload too large to frame is refused before a connection is taken."""
+    frame = _frame(payload)
     with _idle_lock:
         kept, idle = _idle.pop() if _idle else (address, None)
     if kept != address:
@@ -421,7 +427,7 @@ def _exchange(address: tuple[str, int], payload: dict,
         sock = sock or socket.create_connection(address, timeout=timeout)
         try:
             sock.settimeout(timeout)
-            send_frame(sock, payload)
+            sock.sendall(frame)
             reply = recv_frame(sock)
         except OSError as exc:
             if not reused or isinstance(exc, (socket.timeout, TransportError)):

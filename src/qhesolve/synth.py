@@ -2,21 +2,27 @@
 
 Every Clifford+T unitary with minimal T-count k factors as
 C0 . T . C1 . T ... T . Ck over single-qubit Cliffords. One table holds
-every such unitary up to global phase, grown one T-layer at a time and only
+every such unitary up to global phase, built one T-layer at a time and only
 as far as the largest budget asked for (at most 8). Each unitary is keyed
 exactly by its SO(3) image, whose entries are (a + b sqrt2) / sqrt2^k with
 small integers a, b; its T-count is the least such k (Kliuchnikov, Maslov &
-Mosca, arXiv:1206.5236; Gosset et al., arXiv:1308.4134). Layer k+1 is C.T.V
-over the layer-k classes V for which T.V does not reduce, keeping for each
-new class the least (length, word). A search scores the table with one
-matrix-vector product, then decides between the entries near the best by the
-trace itself, so results are the true optima, not estimates. The third
-columns of the same keys give the set of Bloch points reachable from |0>.
+Mosca, arXiv:1206.5236; Gosset et al., arXiv:1308.4134). Layer k+1 holds the
+classes C.T.V over the layer-k classes V for which T.V does not reduce, each
+as its least (length, word). Which C and V give that word is fixed data,
+shipped in clifford_t.npz: the 24 Clifford words and, per layer, the (row of
+V, row of C) of every class in table order. The table is rebuilt from those
+pairs with exact integer keys, so it is the same on every platform.
+tests/clifford_t_reference.py derives the pairs by search and regenerates
+the file; tests/test_synth.py checks the file and the table against it. A
+search scores the table with one matrix-vector product, then decides
+between the entries near the best by the trace itself, so results are the
+true optima, not estimates. The third columns of the same keys give the set
+of Bloch points reachable from |0>.
 """
 from __future__ import annotations
 
 import functools
-import itertools
+import pathlib
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
@@ -27,12 +33,12 @@ from .qsim import GATE_MATRICES, bloch_point, is_unitary, ry_matrix
 
 MAX_T_BUDGET = 8
 
-CLIFFORD_LETTERS = ("h", "s", "sdg", "x", "y", "z")
 T_MATRIX = GATE_MATRICES["t"]
 # Table words take one byte per gate, a..g in the order h < s < sdg < t < x
 # < y < z, so byte-string order is the order of the gate tuples.
 _LETTERS = ("h", "s", "sdg", "t", "x", "y", "z")
 _PAULIS = np.array([GATE_MATRICES[g] for g in ("x", "y", "z")])
+_CHOICES = pathlib.Path(__file__).with_name("clifford_t.npz")
 
 
 class SynthesisError(ValueError):
@@ -78,17 +84,6 @@ def _clifford_image(u: np.ndarray) -> np.ndarray:
     return np.rint(image.real / 2.0).astype(np.int8)
 
 
-def clifford_words() -> tuple[tuple[str, ...], ...]:
-    """The 24 single-qubit Cliffords as shortest (then lexicographic) words."""
-    found: dict[bytes, tuple[str, ...]] = {}
-    for length in itertools.count():
-        for word in itertools.product(CLIFFORD_LETTERS, repeat=length):
-            image = _clifford_image(CliffordTSequence(word).matrix())
-            found.setdefault(image.tobytes(), word)
-        if len(found) == 24:
-            return tuple(found.values())
-
-
 @dataclass(frozen=True)
 class _Entry:
     word: tuple[str, ...]
@@ -114,46 +109,41 @@ class UnitaryTable:
         return len(self.t_counts)
 
     def __getitem__(self, i: int) -> _Entry:
-        word = tuple(_LETTERS[c - ord("a")] for c in self.words[i])
-        return _Entry(word, self.matrices[i], int(self.t_counts[i]))
+        return _Entry(_word(self.words[i]), self.matrices[i], int(self.t_counts[i]))
 
 
-def _next_layer(layer: UnitaryTable, cliffords: UnitaryTable) -> UnitaryTable:
-    """The classes one T above `layer`: C.T.V, least (length, word) each."""
-    a, b = layer.keys[:, 0], layer.keys[:, 1]
-    # T's image has rows (M0 - M1, M0 + M1, sqrt2 M2) / sqrt2, and
-    # sqrt2 (a + b sqrt2) = 2b + a sqrt2.
-    after_t = np.stack([np.stack([a[:, 0] - a[:, 1], a[:, 0] + a[:, 1], 2 * b[:, 2]], 1),
-                        np.stack([b[:, 0] - b[:, 1], b[:, 0] + b[:, 1], a[:, 2]], 1)], 1)
-    # If every a is even, T.V divides by sqrt2: a class of a lower layer.
-    parents = np.flatnonzero((after_t[:, 0] % 2).any(axis=(1, 2)))
-    keys = np.matmul(cliffords.keys[None, :, None, 0], after_t[parents, None])
-    keys = keys.reshape(-1, 18)
-    t_code = bytes([ord("a") + _LETTERS.index("t")])
-    words = np.char.add(np.char.add(layer.words[parents], t_code)[:, None],
-                        cliffords.words).reshape(-1)
-    order = np.lexsort((words, np.char.str_len(words)))
-    _, first = np.unique(keys[order].view(np.dtype((np.void, 18))).ravel(),
-                         return_index=True)
-    chosen = order[np.sort(first)]
-    parent, clifford = np.divmod(chosen, len(cliffords))
-    mats = cliffords.matrices[clifford] @ (T_MATRIX @ layer.matrices[parents[parent]])
-    return UnitaryTable(mats, np.full(len(chosen), layer.t_counts[0] + 1),
-                        words[chosen], keys[chosen].reshape(-1, 2, 3, 3))
+def _word(code: bytes) -> tuple[str, ...]:
+    return tuple(_LETTERS[c - ord("a")] for c in code)
+
+
+def _stored(name: str) -> np.ndarray:
+    with np.load(_CHOICES, allow_pickle=False) as choices:
+        return choices[name]
 
 
 @functools.lru_cache(maxsize=MAX_T_BUDGET + 1)
 def _layer(t_count: int) -> UnitaryTable:
-    """The classes of minimal T-count `t_count`."""
-    if t_count:
-        return _next_layer(_layer(t_count - 1), _layer(0))
-    words = clifford_words()
-    mats = np.array([CliffordTSequence(w).matrix() for w in words])
-    keys = np.zeros((len(words), 2, 3, 3), dtype=np.int8)
-    keys[:, 0] = [_clifford_image(m) for m in mats]
-    codes = [bytes(ord("a") + _LETTERS.index(g) for g in w) for w in words]
-    return UnitaryTable(mats, np.zeros(len(words), dtype=int),
-                        np.array(codes, dtype="S"), keys)
+    """The classes of minimal T-count `t_count`, rebuilt from the stored
+    choice of each one's least (length, word)."""
+    if t_count == 0:
+        codes = _stored("cliffords")
+        mats = np.array([CliffordTSequence(_word(w)).matrix() for w in codes])
+        keys = np.zeros((len(codes), 2, 3, 3), dtype=np.int8)
+        keys[:, 0] = [_clifford_image(m) for m in mats]
+        return UnitaryTable(mats, np.zeros(len(codes), dtype=int), codes, keys)
+    layer, cliffords = _layer(t_count - 1), _layer(0)
+    parent, clifford = _stored(f"t{t_count}").T
+    a, b = layer.keys[parent, 0], layer.keys[parent, 1]
+    # T's image has rows (M0 - M1, M0 + M1, sqrt2 M2) / sqrt2, and
+    # sqrt2 (a + b sqrt2) = 2b + a sqrt2.
+    after_t = np.stack([np.stack([a[:, 0] - a[:, 1], a[:, 0] + a[:, 1], 2 * b[:, 2]], 1),
+                        np.stack([b[:, 0] - b[:, 1], b[:, 0] + b[:, 1], a[:, 2]], 1)], 1)
+    keys = np.matmul(cliffords.keys[clifford, None, 0], after_t)
+    t_code = bytes([ord("a") + _LETTERS.index("t")])
+    words = np.char.add(np.char.add(layer.words[parent], t_code),
+                        cliffords.words[clifford])
+    mats = cliffords.matrices[clifford] @ (T_MATRIX @ layer.matrices[parent])
+    return UnitaryTable(mats, np.full(len(parent), t_count), words, keys)
 
 
 @functools.lru_cache(maxsize=MAX_T_BUDGET + 1)

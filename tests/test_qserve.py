@@ -709,12 +709,18 @@ def test_concurrent_put_backs_leave_one_idle_connection(monkeypatch):
             sock.close()
 
 
-def test_a_job_too_large_to_frame_is_refused_before_sending(server):
-    huge = Job(id="huge", circuit="qubits 1\n#" + "x" * (21 << 20))
-    with pytest.raises(TransportError) as refused:
-        submit(server.address, huge)
-    assert str(refused.value).startswith("frame of")
-    assert submit(server.address, Job(id="next", circuit=BELL))["id"] == "next"
+def test_a_job_too_large_to_frame_is_refused_before_sending():
+    # the refusal leaves the kept connection open for the next job
+    srv = qserve.ExecutionServer()
+    accepted = count_accepts(srv)
+    huge = Job(id="huge", circuit="qubits 1\n#" + "x" * (17 << 20))
+    with srv:
+        assert submit(srv.address, Job(id="first", circuit=BELL))["id"] == "first"
+        with pytest.raises(TransportError) as refused:
+            submit(srv.address, huge)
+        assert str(refused.value).startswith("frame of")
+        assert submit(srv.address, Job(id="next", circuit=BELL))["id"] == "next"
+    assert len(accepted) == 1
 
 
 def test_a_connection_the_server_dropped_is_replaced(request_log):

@@ -1,8 +1,10 @@
 """Clifford+T synthesis tests.
 
-The enumeration is validated two independent ways: budget-0 states against a
-raw Clifford closure computed right here with plain matrices, and random
-bounded-T words that must always hit an enumerated canonical form.
+The table synth rebuilds from its shipped choices must equal, bit for bit,
+the search in clifford_t_reference.py that derived them. The enumeration is
+also validated two independent ways: budget-0 states against a raw Clifford
+closure computed right here with plain matrices, and random bounded-T words
+that must always hit an enumerated canonical form.
 """
 import functools
 import hashlib
@@ -15,12 +17,12 @@ import sys
 import numpy as np
 import pytest
 
+import clifford_t_reference as reference
 from qhesolve import synth
 from qhesolve.qsim import GATE_MATRICES, bloch_point, ry_matrix
 from qhesolve.synth import (SynthesisError, approximate_unitary,
-                            clifford_words, enumerate_states,
-                            enumerate_unitaries, export_bloch_csv,
-                            tied_maximizers)
+                            enumerate_states, enumerate_unitaries,
+                            export_bloch_csv, tied_maximizers)
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -55,7 +57,53 @@ def word_matrix(word):
 # ---------------------------------------------------------------------------
 
 def test_clifford_group_size():
-    assert len(clifford_words()) == 24
+    assert len(reference.clifford_words()) == 24
+
+
+def test_shipped_choices_match_the_reference_search():
+    want = reference.choices()
+    with np.load(synth._CHOICES, allow_pickle=False) as shipped:
+        assert sorted(shipped.files) == sorted(want)
+        for name, choice in want.items():
+            assert shipped[name].dtype == choice.dtype, name
+            assert np.array_equal(shipped[name], choice), name
+
+
+def test_tables_match_the_reference_bit_for_bit():
+    layers, _ = reference.layers()
+    for budget in range(synth.MAX_T_BUDGET + 1):
+        table = enumerate_unitaries(budget)
+        for name in ("matrices", "t_counts", "words", "keys"):
+            want = np.concatenate([getattr(layer, name)
+                                   for layer in layers[:budget + 1]])
+            got = getattr(table, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), (budget, name)
+
+
+def test_help_and_exact_solves_never_read_the_choices():
+    # an audit hook sees every open; a replica solve shows that it works
+    code = ("import sys\n"
+            "opened = []\n"
+            "sys.addaudithook(lambda event, args: opened.append(str(args[0]))"
+            " if event == 'open' else None)\n"
+            "from qhesolve import cli, synth\n"
+            "def reads(argv):\n"
+            "    opened.clear()\n"
+            "    try:\n"
+            "        cli.main(argv)\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "    return str(synth._CHOICES) in opened\n"
+            "print(reads(['--help']),\n"
+            "      reads(['solve', '--fixture', 'eq7', '--key', '1,0']),\n"
+            "      reads(['solve', '--fixture', 'eq7', '--key', '1,0',"
+            " '--mode', 'replica']))\n")
+    src = os.path.dirname(os.path.dirname(synth.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.splitlines()[-1] == "False False True"
 
 
 def test_budget_zero_matches_raw_clifford_closure():
