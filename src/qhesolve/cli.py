@@ -35,6 +35,13 @@ def _port(text: str) -> int:
     return int(text)
 
 
+def _timeout(text: str) -> float:
+    if not 0 < float(text) < math.inf:  # nan too
+        raise argparse.ArgumentTypeError(
+            f"timeout {text} is not a positive finite number of seconds")
+    return float(text)
+
+
 def _write_out(path: str | None, text: str):
     if path:
         with open(path, "w", encoding="utf-8") as handle:
@@ -46,10 +53,13 @@ def _write_out(path: str | None, text: str):
 def _angle_from(args, name: str) -> float | None:
     rad = getattr(args, name)
     deg = getattr(args, f"{name}_deg")
+    flag = f"--{name.replace('_', '-')}"
     if rad is not None and deg is not None:
-        raise ValueError(f"--{name.replace('_', '-')} given in both units")
+        raise ValueError(f"{flag} given in both units")
     if deg is not None:
-        return math.radians(deg)
+        flag, rad = f"{flag}-deg", math.radians(deg)
+    if rad is not None and not math.isfinite(rad):
+        raise ValueError(f"{flag} must be finite")
     return rad
 
 
@@ -81,6 +91,8 @@ def _cmd_solve(args) -> int:
             raise ValueError("--key needs comma-separated integers") from None
         key = hecrypt.MaskKey(bits)
     elif args.key_seed is not None:
+        if args.key_seed < 0:
+            raise ValueError("--key-seed must be a non-negative integer")
         key = hecrypt.keygen(args.key_seed)
     else:
         raise ValueError("provide --key or --key-seed")
@@ -89,16 +101,13 @@ def _cmd_solve(args) -> int:
     if theta is None and args.fixture and args.mode == "replica":
         theta = fixtures.REPLICA_THETA
 
+    t_budget = args.t_budget
     if args.no_substitute:
         t_budget = None
-    elif args.t_budget is not None:
-        t_budget = args.t_budget
-    else:
-        t_budget = 7 if args.mode == "replica" else None
-    if args.no_legalize:
-        center = None
-    else:
-        center = hhl.EIGEN_QUBIT if args.mode == "replica" else None
+    elif t_budget is None and args.mode == "replica":
+        t_budget = 7
+    replica_star = args.mode == "replica" and not args.no_legalize
+    center = hhl.EIGEN_QUBIT if replica_star else None
 
     config = hhl.SolverConfig(
         mode=args.mode,
@@ -178,11 +187,15 @@ def _cmd_compile(args) -> int:
 
 def _job_from_args(args, circuit_text: str) -> qserve.Job:
     postselect = None
-    if args.postselect:
-        qubit, _, outcome = args.postselect.partition(":")
+    if spec := args.postselect:
+        if not re.fullmatch(r"\d+:\d+", spec):
+            raise ValueError(f"--postselect needs QUBIT:OUTCOME, got {spec!r}")
+        qubit, _, outcome = spec.partition(":")
         postselect = (int(qubit), int(outcome))
     bases = []
     for spec in args.basis or ():
+        if not re.fullmatch(r"[^:]*:\d+", spec):
+            raise ValueError(f"--basis needs BASIS:QUBIT, got {spec!r}")
         basis, _, qubit = spec.partition(":")
         bases.append((basis.upper(), int(qubit)))
     return qserve.Job(
@@ -302,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="depolarizing probability (sampled mode)")
         if needs_server:
             p.add_argument("--server", required=True, help="host:port")
-            p.add_argument("--timeout", type=float,
+            p.add_argument("--timeout", type=_timeout,
                            default=qserve.DEFAULT_TIMEOUT)
         else:
             p.set_defaults(server=None, timeout=qserve.DEFAULT_TIMEOUT)
@@ -312,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_verb("serve", "run the execution server")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=_port, default=7177)
-    p.add_argument("--timeout", type=float, default=qserve.DEFAULT_TIMEOUT)
+    p.add_argument("--timeout", type=_timeout, default=qserve.DEFAULT_TIMEOUT)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=_cmd_serve)
 

@@ -57,8 +57,6 @@ class LinearSystem:
     def __post_init__(self):
         a = np.array(self.a, dtype=float)  # copy: the originals stay writable
         b = np.array(self.b, dtype=float)
-        if a.shape != (2, 2) or b.shape != (2,):
-            raise SolverError("expected a 2x2 matrix and a 2-vector")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise SolverError("matrix and right-hand side must be finite")
         if not b.any():  # every solve divides by ||b||
@@ -128,8 +126,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "replica"):
             raise SolverError(f"unknown mode {self.mode!r}")
-        if self.execution not in ("analytic", "sampled"):
-            raise SolverError(f"unknown execution {self.execution!r}")
         if self.execution == "sampled" and self.shots < 1:
             raise SolverError("sampled execution needs shots >= 1")
 

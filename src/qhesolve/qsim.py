@@ -63,16 +63,7 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     """2x2 matrix of a single-qubit gate."""
     if gate.kind == "ry":
         return ry_matrix(gate.angle)
-    if gate.kind == "cx":
-        raise SimulationError("cx has no single-qubit matrix")
     return GATE_MATRICES[gate.kind]
-
-
-def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) < tol)
 
 
 @dataclass(frozen=True)
@@ -132,8 +123,6 @@ class Counts:
     table: dict[str, int]
 
     def __post_init__(self):
-        if not self.table and self.shots != 0:
-            raise SimulationError("empty table with nonzero shots")
         lengths = {len(k) for k in self.table}
         if len(lengths) > 1:
             raise SimulationError("inconsistent bitstring lengths")
@@ -312,8 +301,6 @@ def postselect(state: StateVector, qubit: int, outcome: int) -> tuple[StateVecto
     """Condition on `qubit` reading `outcome`; returns (renormalized state,
     Born probability of that outcome)."""
     _check_qubit(state.n_qubits, qubit)
-    if outcome not in (0, 1):
-        raise SimulationError("outcome must be 0 or 1")
     amps = state.amps.reshape(1 << qubit, 2, -1)
     kept = np.zeros_like(amps)
     kept[:, outcome] = amps[:, outcome]
@@ -413,10 +400,6 @@ def fidelity_from_expectations(e: PauliExpectations, ideal) -> float:
     """
     ideal = np.asarray(ideal.amps if isinstance(ideal, StateVector) else ideal,
                        dtype=complex)
-    if ideal.shape != (2,):
-        raise SimulationError("ideal state must be a single qubit")
-    if abs(np.linalg.norm(ideal) - 1.0) > 1e-9:
-        raise SimulationError("ideal state must be normalized")
     x_, y_, z_ = e.x, e.y, e.z
     nsq = check_bloch_ball(e)
     if nsq > 1.0:

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import circ
-from .qsim import GATE_MATRICES, bloch_point, is_unitary, ry_matrix
+from .qsim import GATE_MATRICES, bloch_point, ry_matrix
 
 MAX_T_BUDGET = 8
 
@@ -50,11 +50,6 @@ class CliffordTSequence:
     """A gate word over {x, y, z, h, s, sdg, t, tdg}, in application order."""
 
     gates: tuple[str, ...]
-
-    def __post_init__(self):
-        for g in self.gates:
-            if g not in GATE_MATRICES:
-                raise SynthesisError(f"unknown gate {g!r}")
 
     @property
     def t_count(self) -> int:
@@ -207,8 +202,6 @@ def tied_maximizers(target: np.ndarray, t_budget: int,
     """Every canonical form M whose similarity |Tr(target^dag M)| / 2 ties
     the budget's maximum, in (T-count, length, word) order."""
     target = np.asarray(target, dtype=complex)
-    if not is_unitary(target):
-        raise SynthesisError("target must be unitary")
     table = enumerate_unitaries(t_budget)
     target_dag = target.conj().T
     # Tr(t^dag M) = sum M[j, i] conj(t[j, i]). The product rounds unlike the
@@ -229,8 +222,6 @@ def closest_state(target_state: np.ndarray,
     tie goes to the first in (x, y, z) order, as mirrored points are exact."""
     want = np.array(bloch_point(target_state))
     pts = np.asarray(coverage)
-    if pts.size == 0:
-        raise SynthesisError("empty coverage set")
     best = int(np.argmin(np.linalg.norm(pts - want, axis=1)))
     return tuple(float(c) for c in pts[best])
 

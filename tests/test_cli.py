@@ -142,10 +142,11 @@ def reply_once(reply: bytes):
 EVEN_COUNTS = {"000": 4, "100": 4}
 
 
-def sampled_reply(bases, counts=EVEN_COUNTS):
+def sampled_reply(bases, counts=EVEN_COUNTS, kept=None):
+    kept = sum(counts.values()) if kept is None else kept
     return json.dumps({"id": "solve-exact-sampled", "results": [
         {"basis": b, "qubit": 0, "counts": counts, "raw_shots": raw,
-         "kept_shots": sum(counts.values())} for b, raw in bases]}).encode()
+         "kept_shots": kept} for b, raw in bases]}).encode()
 
 
 # (execution, reply bytes)
@@ -179,6 +180,9 @@ MALFORMED_REPLIES = {
     "negative_count": ("sampled", sampled_reply(
         [(b, 8) for b in "ZXY"], {"000": 12, "100": -4})),
     "no_kept_shots": ("sampled", sampled_reply([(b, 8) for b in "ZXY"], {})),
+    # 8 kept shots claimed, none counted
+    "kept_shots_not_counted": ("sampled", sampled_reply(
+        [(b, 8) for b in "ZXY"], {}, kept=8)),
     "multiline_error": ("analytic", json.dumps({
         "error": "bad_request", "detail": "no\nerror: forged"}).encode()),
 }
@@ -271,19 +275,69 @@ def test_any_server_reply_gives_a_finite_report_or_one_error_line(
     # the budget-7 Clifford+T word for ry(+-0.0005) is the identity
     (["--key", "1,0", "--mode", "replica", "--theta-override", "0.001"],
      "replica rotation leaves no ancilla amplitude"),
+    (["--key", "1,0", "--mode", "replica", "--theta-override", "inf"],
+     "--theta-override must be finite"),
+    (["--key", "1,0", "--theta-override-deg", "nan"],
+     "--theta-override-deg must be finite"),
+    (["--key-seed", "-1"], "--key-seed must be a non-negative integer"),
 ], ids=["one_bit", "three_bits", "not_binary", "angle_in_both_units_first",
-        "negative", "empty_component", "replica_rotation_is_the_identity"])
+        "negative", "empty_component", "replica_rotation_is_the_identity",
+        "infinite_angle", "nan_angle_in_degrees", "negative_key_seed"])
 def test_bad_key_is_refused_in_one_line(capsys, flags, message):
     status, out, err = run_cli(capsys, ["solve", "--fixture", "eq7", *flags])
     assert (status, out, err) == (1, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("port", ["70000", "-1"])
-def test_serve_port_out_of_range_is_usage_error(capsys, port):
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--matrix=1,2,3", "--rhs=1,1", "--key", "0,0"],
+     "--matrix needs 4 comma-separated numbers"),
+    (["solve", "--key", "0,0"], "provide --fixture, or both --matrix and --rhs"),
+    (["synth"], "provide --target-ry or --target-ry-deg"),
+    (["synth", "--target-ry", "nan"], "--target-ry must be finite"),
+    (["synth", "--target-ry-deg", "inf"], "--target-ry-deg must be finite"),
+    (["bloch", "--mark-ry", "nan"], "--mark-ry must be finite"),
+    (["bloch", "--mark-ry-deg=-inf"], "--mark-ry-deg must be finite"),
+    (["simulate", "--postselect", "x"], "--postselect needs QUBIT:OUTCOME, got 'x'"),
+    (["simulate", "--postselect", "0"], "--postselect needs QUBIT:OUTCOME, got '0'"),
+    (["simulate", "--basis", "Z"], "--basis needs BASIS:QUBIT, got 'Z'"),
+], ids=["three_matrix_entries", "no_system", "no_synth_angle", "nan_synth_angle",
+        "infinite_synth_angle", "nan_mark", "infinite_mark", "postselect_not_a_pair",
+        "postselect_without_outcome", "basis_without_qubit"])
+def test_bad_argv_is_refused_in_one_line(capsys, tmp_path, argv, message):
+    bell = tmp_path / "bell.qc"
+    bell.write_text("qubits 2\nh q0\ncx q0 q1\n")
+    if argv[0] == "simulate":
+        argv = [*argv, "--circuit", str(bell), "--execution", "sampled"]
+    status, out, err = run_cli(capsys, argv)
+    assert (status, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["serve", "--port", "70000"], "port 70000 is outside 0..65535"),
+    (["serve", "--port", "-1"], "port -1 is outside 0..65535"),
+    *((["serve", "--timeout", t], f"timeout {t} is not a positive finite")
+      for t in ("0", "-1", "nan", "inf")),
+    *((["submit", "--circuit", "bell.qc", "--server", "127.0.0.1:9",
+        "--timeout", t], f"timeout {t} is not a positive finite")
+      for t in ("0", "nan")),
+], ids=["70000", "-1", "serve_timeout_zero", "serve_timeout_negative",
+        "serve_timeout_nan", "serve_timeout_infinite", "submit_timeout_zero",
+        "submit_timeout_nan"])
+def test_serve_port_out_of_range_is_usage_error(capsys, argv, message):
+    # refused while parsing: no server starts and no connection is tried
     with pytest.raises(SystemExit) as exit_info:
-        main(["serve", "--port", port])
+        main(argv)
     assert exit_info.value.code == 2
-    assert "outside 0..65535" in capsys.readouterr().err
+    assert f"argument {argv[-2]}: {message}" in capsys.readouterr().err
+
+
+def test_port_and_timeout_in_range_parse():
+    parser = build_parser()
+    args = parser.parse_args(["serve", "--port", "0", "--timeout", "2.5"])
+    assert (args.port, args.timeout) == (0, 2.5)
+    args = parser.parse_args(["submit", "--circuit", "c.qc", "--server",
+                              "127.0.0.1:9", "--timeout", "1e-3"])
+    assert args.timeout == 1e-3
 
 
 @pytest.mark.parametrize("matrix,rhs", [
@@ -615,6 +669,9 @@ def test_submit_verb_round_trip(capsys, tmp_path, server):
      "--execution", "analytic"],
     ["--matrix=1.2,0.4,0.4,0.9", "--rhs=-0.5,1", "--key", "0,1",
      "--mode", "exact", "--execution", "sampled", "--seed", "4"],
+    *(["--fixture", "eq7", "--key", "1,0", "--mode", "replica",
+       "--execution", "sampled", "--seed", "7", flag]
+      for flag in ("--no-substitute", "--no-legalize")),
 ])
 def test_solve_in_process_matches_server(capsys, server, argv):
     host, port = server.address

@@ -760,6 +760,25 @@ def test_a_timeout_on_an_open_connection_is_not_sent_again(monkeypatch,
     assert len(accepted) == 1
 
 
+def test_a_reply_that_cannot_be_sent_ends_its_connection(monkeypatch):
+    # the server's send fails: its thread closes the connection and ends,
+    # the client gets one error, and the server serves the next job
+    senders = []
+
+    def broken(sock, payload):
+        senders.append(threading.current_thread())
+        raise BrokenPipeError("the peer went away")
+
+    with qserve.ExecutionServer() as srv:
+        monkeypatch.setattr(qserve, "send_frame", broken)
+        with pytest.raises(TransportError, match="without replying"):
+            submit(srv.address, Job(id="lost", circuit=BELL))
+        monkeypatch.undo()
+        senders[0].join(timeout=5.0)
+        assert len(senders) == 1 and not senders[0].is_alive()
+        assert submit(srv.address, Job(id="next", circuit=BELL))["id"] == "next"
+
+
 def test_a_reply_cut_off_on_an_open_connection_is_not_sent_again():
     job = Job(id="cut", circuit=BELL)
     reply = json.dumps(execute_job(job.to_payload())).encode()

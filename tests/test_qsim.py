@@ -343,7 +343,7 @@ def test_unitary_is_unitary_for_random_circuits():
                 kind = rng.choice(list(circ.SINGLE_QUBIT_KINDS))
                 gates.append(circ.Gate(kind, (int(rng.integers(n)),)))
         u = circuit_unitary(Circuit(n, gates))
-        assert qsim.is_unitary(u, tol=1e-10)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(2 ** n))) < 1e-10
 
 
 def test_unitary_columns_match_basis_state_runs():
