@@ -10,6 +10,7 @@ import argparse
 import json
 import logging
 import math
+import os
 import re
 import sys
 
@@ -350,5 +351,27 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> None:
+    """The console entry, for `qhesolve` and `python -m qhesolve`.
+
+    Runs main, flushes both streams and ends the process with os._exit,
+    which skips the interpreter's teardown: module clearing, a last cyclic
+    collection over numpy's objects, and the atexit hook that closes kept
+    client sockets, which the OS closes anyway. A finished command has
+    closed its --out file already. If a flush fails, sys.exit ends the
+    process instead, as it always did.
+    """
+    try:
+        status = main()
+    except SystemExit as exc:  # argparse: --help, or a usage error
+        status = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # a closed pipe, say
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

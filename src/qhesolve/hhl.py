@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -354,6 +353,7 @@ def choose_t0(eig: EigenDecomp, m: int) -> float:
     not a small-enough rational, which would leak amplitude in phase
     estimation.
     """
+    from fractions import Fraction  # only this builder needs it; solves skip it
     if m < 1:
         raise SolverError("need at least one register bit")
     lam1, lam2 = eig.lambda1, eig.lambda2

@@ -111,9 +111,11 @@ def _word(code: bytes) -> tuple[str, ...]:
     return tuple(_LETTERS[c - ord("a")] for c in code)
 
 
-def _stored(name: str) -> np.ndarray:
+@functools.cache
+def _stored() -> dict[str, np.ndarray]:
+    """Every stored choice array by name, read from the file once."""
     with np.load(_CHOICES, allow_pickle=False) as choices:
-        return choices[name]
+        return {name: choices[name] for name in choices.files}
 
 
 @functools.lru_cache(maxsize=MAX_T_BUDGET + 1)
@@ -121,13 +123,13 @@ def _layer(t_count: int) -> UnitaryTable:
     """The classes of minimal T-count `t_count`, rebuilt from the stored
     choice of each one's least (length, word)."""
     if t_count == 0:
-        codes = _stored("cliffords")
+        codes = _stored()["cliffords"]
         mats = np.array([CliffordTSequence(_word(w)).matrix() for w in codes])
         keys = np.zeros((len(codes), 2, 3, 3), dtype=np.int8)
         keys[:, 0] = [_clifford_image(m) for m in mats]
         return UnitaryTable(mats, np.zeros(len(codes), dtype=int), codes, keys)
     layer, cliffords = _layer(t_count - 1), _layer(0)
-    parent, clifford = _stored(f"t{t_count}").T
+    parent, clifford = _stored()[f"t{t_count}"].T
     a, b = layer.keys[parent, 0], layer.keys[parent, 1]
     # T's image has rows (M0 - M1, M0 + M1, sqrt2 M2) / sqrt2, and
     # sqrt2 (a + b sqrt2) = 2b + a sqrt2.
@@ -137,7 +139,8 @@ def _layer(t_count: int) -> UnitaryTable:
     t_code = bytes([ord("a") + _LETTERS.index("t")])
     words = np.char.add(np.char.add(layer.words[parent], t_code),
                         cliffords.words[clifford])
-    mats = cliffords.matrices[clifford] @ (T_MATRIX @ layer.matrices[parent])
+    # T times each parent once, however many children it has
+    mats = cliffords.matrices[clifford] @ (T_MATRIX @ layer.matrices)[parent]
     return UnitaryTable(mats, np.full(len(parent), t_count), words, keys)
 
 

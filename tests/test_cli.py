@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import qhesolve
 from qhesolve import circ, fixtures, hecrypt, hhl, qserve, qsim, synth
-from qhesolve.cli import build_parser, main
+from qhesolve.cli import build_parser, main, run
 from test_qserve import JSON_VALUES, ODD
 
 SQ2 = 1 / math.sqrt(2)
@@ -67,6 +67,74 @@ def test_missing_key_is_an_error(capsys):
     status, _, err = run_cli(capsys, ["solve", "--fixture", "eq7"])
     assert status == 1
     assert "key" in err
+
+
+# ---------------------------------------------------------------------------
+# console entry
+# ---------------------------------------------------------------------------
+
+class FlushedStream(io.StringIO):
+    """A stream that knows whether all it was given has been flushed."""
+
+    def __init__(self, fails: bool = False):
+        super().__init__()
+        self.fails, self.pending = fails, False
+
+    def write(self, text):
+        self.pending = True
+        return super().write(text)
+
+    def flush(self):
+        if self.fails:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.pending = False
+
+
+def run_console(argv, exits, stdout=None):
+    """(stdout, stderr) of cli.run(), with sys.argv set to argv, on fresh
+    streams, and os._exit patched to append (status, stdout pending, stderr
+    pending) to exits instead of ending the tests."""
+    out, err = stdout or FlushedStream(), FlushedStream()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "argv", ["qhesolve", *argv])
+        patch.setattr(sys, "stdout", out)
+        patch.setattr(sys, "stderr", err)
+        patch.setattr(os, "_exit", lambda status: exits.append(
+            (status, out.pending, err.pending)))
+        run()
+    return out, err
+
+
+@pytest.mark.parametrize("argv,status,stream", [
+    (["synth", "--target-ry", "0.5", "--t-budget", "2"], 0, 0),
+    (["solve", "--key", "0,0"], 1, 1),
+    (["--help"], 0, 0),
+    (["serve", "--timeout", "-1"], 2, 1),
+], ids=["report", "runtime-error", "help", "usage-error"])
+def test_run_flushes_then_ends_with_the_status(argv, status, stream):
+    exits = []
+    streams = run_console(argv, exits)
+    assert exits == [(status, False, False)]
+    assert streams[stream].getvalue()
+
+
+def test_run_falls_back_to_sys_exit_when_a_flush_fails():
+    exits = []
+    with pytest.raises(SystemExit) as exit_info:
+        run_console(["solve", "--key", "0,0"], exits,
+                    stdout=FlushedStream(fails=True))
+    assert exit_info.value.code == 1 and exits == []
+
+
+def test_run_lets_an_unexpected_exception_through(monkeypatch):
+    def interrupted(argv=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(qhesolve.cli, "main", interrupted)
+    exits = []
+    with pytest.raises(KeyboardInterrupt):
+        run_console(["solve", "--fixture", "eq7", "--key", "1,0"], exits)
+    assert exits == []
 
 
 # ---------------------------------------------------------------------------

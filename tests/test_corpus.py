@@ -16,7 +16,9 @@ entry:
 
     PYTHONPATH=src python tests/test_corpus.py
 
-To add a case, append its `=== ` line and regenerate.
+To add a case, append its `=== ` line and regenerate. A few argv also run
+in a real `python -m qhesolve` process, which must print the same bytes
+before it ends.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ import os
 import pathlib
 import re
 import shlex
+import subprocess
 import sys
 import tempfile
 from unittest import mock
@@ -68,9 +71,13 @@ def read_corpus(path: pathlib.Path = CORPUS):
     return head, files, entries
 
 
-def run_argv(source: str, directory: str) -> dict[str, str]:
-    argv = [re.sub(r"\{([^{}]+)\}", lambda m: os.path.join(directory, m[1]), arg)
+def _argv(source: str, directory: str) -> list[str]:
+    return [re.sub(r"\{([^{}]+)\}", lambda m: os.path.join(directory, m[1]), arg)
             for arg in shlex.split(source)]
+
+
+def run_argv(source: str, directory: str) -> dict[str, str]:
+    argv = _argv(source, directory)
     out, err = io.StringIO(), io.StringIO()
     # argparse wraps usage text to the terminal's width
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
@@ -81,6 +88,17 @@ def run_argv(source: str, directory: str) -> dict[str, str]:
             status = exc.code
     return {f"status {status}": "", "stdout": out.getvalue(),
             "stderr": err.getvalue()}
+
+
+def run_process(source: str, directory: str) -> dict[str, str]:
+    """run_argv's sections from a `python -m qhesolve` process."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "qhesolve", *_argv(source, directory)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "COLUMNS": "80"})
+    return {f"status {done.returncode}": "", "stdout": done.stdout,
+            "stderr": done.stderr}
 
 
 def run_payload(source: str) -> dict[str, str]:
@@ -115,6 +133,32 @@ def directory():
                               for kind, source, _ in ENTRIES])
 def test_corpus_entry_is_unchanged(directory, kind, source, recorded):
     assert run_entry(kind, source, directory) == recorded
+
+
+# a report, a file written with --out, a runtime error and a usage error
+PROCESS_ARGV = (
+    "solve --fixture eq7 --key 1,0 --mode replica --execution sampled"
+    " --shots 8192 --seed 7",
+    "synth --target-ry-deg -28.67 --t-budget 7 --out {rs.qc}",
+    "solve --matrix=1,2,3 --rhs=1,1 --key 0,0",
+    "serve --timeout -1",
+)
+
+
+@pytest.mark.parametrize("source", PROCESS_ARGV)
+def test_a_process_emits_the_recorded_output(source):
+    recorded = {s: r for kind, s, r in ENTRIES if kind == "argv"}[source]
+    with written(FILES) as process, written(FILES) as in_process:
+        assert run_process(source, process) == recorded
+        run_argv(source, in_process)
+        for name in set(re.findall(r"\{([^{}]+)\}", source)) - FILES.keys():
+            text = pathlib.Path(process, name).read_text(encoding="utf-8")
+            assert text == pathlib.Path(in_process, name).read_text(
+                encoding="utf-8"), name
+
+
+def test_a_process_prints_the_help_of_main(directory):
+    assert run_process("--help", directory) == run_argv("--help", directory)
 
 
 def regenerate(path: pathlib.Path = CORPUS):

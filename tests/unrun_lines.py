@@ -29,9 +29,9 @@ PHASE_ESTIMATION = ("phase-estimation guard: no solve builds this circuit; "
 # this process; "<module>" is a file's top level
 ALLOWED = {
     **{("__main__.py", "<module>", text): "python -m qhesolve " + SUBPROCESS
-       for text in ("import sys", "from .cli import main", "sys.exit(main())")},
-    ("cli.py", "<module>", "sys.exit(main())"):
-        "cli.py run as a script; the console script and -m call main()",
+       for text in ("from .cli import run", "run()")},
+    ("cli.py", "<module>", "run()"):
+        "python -m qhesolve.cli; the console script and -m call run()",
     **{("cli.py", "_cmd_serve", text): SERVE for text in (
         "import signal  # only serve needs it, and every cold solve imports cli",
         "logging.basicConfig(",
@@ -52,7 +52,8 @@ ALLOWED = {
        for text in ('log.info("serving on %s:%d", *self.address)',
                     "self.serve_until_stopped()")},
     **{("qserve.py", "_close_idle", text):
-       "an atexit hook: it runs at interpreter exit, after the report"
+       "an atexit hook: it runs only when a process that imports qhesolve "
+       "as a library exits (a command ends with os._exit)"
        for text in ("for _, sock in _idle:", "sock.close()")},
     ("hhl.py", "uniformly_controlled_ry",
      'raise SolverError("need one angle per control value")'): PHASE_ESTIMATION,
