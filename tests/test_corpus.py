@@ -77,13 +77,12 @@ def _argv(source: str, directory: str) -> list[str]:
 
 
 def run_argv(source: str, directory: str) -> dict[str, str]:
-    argv = _argv(source, directory)
     out, err = io.StringIO(), io.StringIO()
     # argparse wraps usage text to the terminal's width
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         try:
-            status = cli.main(argv)
+            status = cli.main(_argv(source, directory))
         except SystemExit as exc:  # a usage error
             status = exc.code
     return {f"status {status}": "", "stdout": out.getvalue(),
@@ -91,12 +90,15 @@ def run_argv(source: str, directory: str) -> dict[str, str]:
 
 
 def run_process(source: str, directory: str) -> dict[str, str]:
-    """run_argv's sections from a `python -m qhesolve` process."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
+    """run_argv's sections from a `python -m qhesolve` process, whose
+    stdout is block-buffered, as it is for a user (unbuffered streams would
+    hide a missing flush)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)),
+               COLUMNS="80")
     done = subprocess.run(
         [sys.executable, "-m", "qhesolve", *_argv(source, directory)],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src, "COLUMNS": "80"})
+        capture_output=True, text=True, timeout=60, env=env)
     return {f"status {done.returncode}": "", "stdout": done.stdout,
             "stderr": done.stderr}
 
