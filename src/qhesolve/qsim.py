@@ -7,14 +7,17 @@ Conventions, fixed across the package:
     explicitly, so sampled results are stable across runs and releases;
   - operations are pure: they return new values and never mutate inputs.
 
-Every kernel views qubit q of a (2^n, ...) array as (2^q, 2, rest) and
-applies a cx as one take() with a cached read-only row permutation (under
-1.5 MB for all pairs up to 10 qubits). _evolve fuses each run of single-qubit
-gates on a qubit, up to a cx on it, into one 2x2 GEMM on a (2^n,) or (2^n, k)
-statevector array; a (2^n, 2^n) density matrix takes gate, then noise, in turn.
-Within one call each distinct run prefix is multiplied once, in the same
-left-fold order, so a run that repeats costs dict lookups and its product is
-bit-identical.
+Every kernel views the qubit at index bit p of a (2^n, ...) array as
+(2^p, 2, rest) and applies a cx as one take() with a cached read-only row
+permutation (under 1.5 MB for all pairs up to 10 qubits). _evolve fuses each
+run of single-qubit gates on a qubit, up to a cx on it, into one 2x2 GEMM on a
+(2^n,) or (2^n, k) statevector array. It keeps the index bits in whatever
+order its steps leave them: a 2x2 step copies its qubit to the front (no copy
+if it is there) and keeps the GEMM's product as it comes, and one transpose at
+the end restores qubit order. A (2^n, 2^n) density matrix stays in qubit order
+and takes gate, then noise, in turn. Within one call each distinct run prefix
+is multiplied once, in the same left-fold order, so a run that repeats costs
+dict lookups and its product is bit-identical.
 """
 from __future__ import annotations
 
@@ -175,26 +178,31 @@ def _fused(gates):
     runs: dict[int, tuple[int, np.ndarray]] = {}
     steps: dict[tuple, tuple[int, np.ndarray]] = {}
     for gate in gates:
-        if gate.kind == "cx":
-            yield from ((q, runs.pop(q)[1]) for q in gate.qubits if q in runs)
-            yield gate.control, gate.target
+        kind, qubits, angle = gate.kind, gate.qubits, gate.angle
+        if kind == "cx":
+            for q in qubits:
+                if q in runs:
+                    yield q, runs.pop(q)[1]
+            yield qubits
             continue
-        prefix, u = runs.get(gate.qubit, (0, None))
-        angle = gate.angle
-        key = (prefix, gate.kind, None if angle is None else float(angle).hex())
+        q = qubits[0]
+        prefix, u = runs.get(q, (0, None))
+        key = (prefix, kind, None if angle is None else float(angle).hex())
         step = steps.get(key)
         if step is None:
             v = gate_matrix(gate)
             step = (len(steps) + 1, v if u is None else v @ u)
             if len(steps) < MAX_MEMO_ENTRIES:
                 steps[key] = step
-        runs[gate.qubit] = step
-    yield from ((q, u) for q, (_, u) in runs.items())
+        runs[q] = step
+    for q, (_, u) in runs.items():
+        yield q, u
 
 
 @functools.cache
 def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
-    """Row permutation of a cx on n qubits (read-only; 8 * 2^n bytes)."""
+    """Row permutation of a cx on n index bits, its control and target given
+    as bit positions (0 the most significant); read-only, 8 * 2^n bytes."""
     rows = np.arange(1 << n)
     perm = rows ^ (((rows >> (n - 1 - control)) & 1) << (n - 1 - target))
     perm.flags.writeable = False
@@ -202,15 +210,23 @@ def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
 
 
 def _evolve(amps: np.ndarray, n: int, gates) -> np.ndarray:
-    """The gates applied to a (2^n,) state or each column of a (2^n, k) array."""
+    """The gates applied to a (2^n,) state or each column of a (2^n, k) array.
+
+    order[p] is the qubit at index bit p (0 the most significant). A 2x2
+    step on it multiplies (2, 2^p * rest), which moves it to bit 0.
+    """
+    shape, order = amps.shape, list(range(n))
     for q, op in _fused(gates):
-        if isinstance(op, np.ndarray):  # view as (2^q, 2, rest), qubit q first
-            rows = amps.reshape(1 << q, 2, -1).swapaxes(0, 1)
-            out = op @ rows.reshape(2, -1)
-            amps = out.reshape(rows.shape).swapaxes(0, 1).reshape(amps.shape)
+        if isinstance(op, np.ndarray):
+            p = order.index(q)
+            rows = amps.reshape(1 << p, 2, -1).swapaxes(0, 1).reshape(2, -1)
+            amps = (op @ rows).reshape(shape)
+            order.insert(0, order.pop(p))
         else:
-            amps = amps.take(_cnot_perm(n, q, op), axis=0)
-    return amps
+            amps = amps.take(_cnot_perm(n, order.index(q), order.index(op)),
+                             axis=0)
+    axes = [order.index(q) for q in range(n)] + [n]  # a copy unless in order
+    return amps.reshape((2,) * n + (-1,)).transpose(axes).reshape(shape)
 
 
 def _conjugate(rho: np.ndarray, n: int, gate: Gate) -> np.ndarray:

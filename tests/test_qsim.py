@@ -296,6 +296,44 @@ def test_runs_past_the_memo_cap_are_the_left_fold_bit_for_bit(monkeypatch,
             assert np.array_equal(np.signbit(part(op)), np.signbit(part(op_want)))
 
 
+def reference_evolve(amps, n, gates):
+    """_evolve with the qubits kept in order: each 2x2 step gathers its
+    qubit first for the GEMM and scatters the product back."""
+    for q, op in reference_fused(gates):
+        if isinstance(op, np.ndarray):  # view as (2^q, 2, rest), qubit q first
+            rows = amps.reshape(1 << q, 2, -1).swapaxes(0, 1)
+            out = op @ rows.reshape(2, -1)
+            amps = out.reshape(rows.shape).swapaxes(0, 1).reshape(amps.shape)
+        else:
+            amps = amps.take(qsim._cnot_perm(n, q, op), axis=0)
+    return amps
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_evolve_is_the_in_order_kernel_bit_for_bit(n):
+    # a cx on every ordered pair, in seeded order, between runs that hold
+    # ry(+-0.0); basis inputs have zeros whose signs must survive
+    rng = np.random.default_rng(1300 + n)
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    gates = []
+    for i in [*rng.permutation(len(pairs)), None]:
+        for _ in range(rng.integers(1, 5)):
+            q = int(rng.integers(n))
+            gates.append([ry(0.0, q), ry(-0.0, q), random_single(rng, q)][
+                rng.integers(3)])
+        if i is not None:
+            gates.append(cx(*pairs[i]))
+    dim = 2 ** n
+    columns = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    for amps in (StateVector.zero(n).amps, random_state(rng, n).amps,
+                 np.eye(dim, 3, dtype=complex), columns):
+        got, want = qsim._evolve(amps, n, gates), reference_evolve(amps, n, gates)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
 def test_cnot_permutation_is_cached_read_only():
     perm = qsim._cnot_perm(3, 0, 2)
     assert perm is qsim._cnot_perm(3, 0, 2)
